@@ -225,6 +225,21 @@ func (c *Concurrent[T]) EstimateBatch(items []T, dst []int64) []int64 {
 	return dst
 }
 
+// EstimateBounds returns item's point estimate and certain bounds read
+// under one shard lock hold — unlike three separate calls, which a
+// concurrent write can tear, the triple always satisfies
+// lb <= est <= ub. Safe for concurrent use.
+func (c *Concurrent[T]) EstimateBounds(item T) (est, lb, ub int64) {
+	if c.fast != nil {
+		return c.fast.EstimateBounds(asInt64(item))
+	}
+	sh := c.shardFor(item)
+	sh.mu.Lock()
+	est, lb, ub = sh.s.Estimate(item), sh.s.LowerBound(item), sh.s.UpperBound(item)
+	sh.mu.Unlock()
+	return est, lb, ub
+}
+
 // LowerBound returns a certain lower bound on item's frequency.
 func (c *Concurrent[T]) LowerBound(item T) int64 {
 	if c.fast != nil {

@@ -352,6 +352,72 @@ func TestConcurrentStringFallback(t *testing.T) {
 	}
 }
 
+// TestConcurrentEstimateBoundsBracket races batch writers against
+// EstimateBounds readers on a small, constantly decrementing summary:
+// every returned triple must bracket, lb <= est <= ub, on both the fast
+// and the generic backend.
+func TestConcurrentEstimateBoundsBracket(t *testing.T) {
+	t.Run("int64", func(t *testing.T) {
+		testBoundsBracket(t, func(i int) int64 { return int64(i) })
+	})
+	t.Run("string", func(t *testing.T) {
+		testBoundsBracket(t, func(i int) string { return fmt.Sprintf("k%d", i) })
+	})
+}
+
+func testBoundsBracket[T comparable](t *testing.T, key func(int) T) {
+	c, err := freq.NewConcurrent[T](64, freq.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const universe = 512
+	keys := make([]T, universe)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	stop := make(chan struct{})
+	var writers, readers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			items := make([]T, 64)
+			weights := make([]int64, 64)
+			for round := 0; round < 300; round++ {
+				for i := range items {
+					items[i] = keys[(round*31+i*7+w)%universe]
+					weights[i] = int64(1 + (round+i)%50)
+				}
+				if err := c.UpdateWeightedBatch(items, weights); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				item := keys[i%universe]
+				if est, lb, ub := c.EstimateBounds(item); lb > est || est > ub {
+					t.Errorf("EstimateBounds(%v) = %d [%d, %d]: torn", item, est, lb, ub)
+					return
+				}
+			}
+		}(r)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+}
+
 func TestSignedGoldenPath(t *testing.T) {
 	s, err := freq.NewSigned[uint64](256, freq.WithSeed(9))
 	if err != nil {

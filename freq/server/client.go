@@ -50,6 +50,10 @@ import (
 // re-dials first (when the client knows its address), so a recovered
 // server is picked back up without new client state.
 type Client[T ~int64 | ~uint64] struct {
+	// handle carries the per-command methods, scoped to the global
+	// summary and pointing back at this client.
+	handle[T]
+
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
@@ -195,11 +199,13 @@ func Dial[T ~int64 | ~uint64](addr string, opts ...ClientOption) (*Client[T], er
 // client starts in text framing; call Negotiate to attempt the binary
 // upgrade.
 func NewClient[T ~int64 | ~uint64](conn net.Conn) *Client[T] {
-	return &Client[T]{
+	c := &Client[T]{
 		conn: conn,
 		r:    bufio.NewReader(conn),
 		w:    bufio.NewWriter(conn),
 	}
+	c.handle = handle[T]{cl: c}
+	return c
 }
 
 // armRead arms the read deadline for one conn operation when an IO
@@ -340,21 +346,12 @@ func (c *Client[T]) Negotiate() (bool, error) {
 		return true, nil
 	}
 	for ver := binaryVersionMax; ver >= binaryVersionMin; ver-- {
-		c.armWrite()
-		if _, err := fmt.Fprintf(c.w, "HELLO BIN %d\n", ver); err != nil {
-			return false, transportErr(err)
+		line, err := c.roundTrip("HELLO BIN %d", ver)
+		if isTransport(err) {
+			return false, err
 		}
-		if err := c.w.Flush(); err != nil {
-			return false, transportErr(err)
-		}
-		c.armRead()
-		line, err := c.r.ReadString('\n')
 		if err != nil {
-			return false, transportErr(err)
-		}
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "ERR ") {
-			continue
+			continue // declined with ERR: offer the next version
 		}
 		if line != fmt.Sprintf("HELLO BIN %d", ver) {
 			return false, fmt.Errorf("server: unexpected HELLO response %q", line)
@@ -532,6 +529,11 @@ func (c *Client[T]) roundTrip(format string, args ...any) (string, error) {
 			return "", transportErr(err)
 		}
 	}
+	return c.readReply()
+}
+
+// readReply reads one reply line, returning an ERR reply as an error.
+func (c *Client[T]) readReply() (string, error) {
 	line, err := c.readLine()
 	if err != nil {
 		return "", err
@@ -543,87 +545,294 @@ func (c *Client[T]) roundTrip(format string, args ...any) (string, error) {
 	return line, nil
 }
 
-// Update sends a weighted update. Not idempotent: a transport failure
-// returns a *TransportError and is never auto-retried — the caller
-// decides whether re-sending risks double counting.
-func (c *Client[T]) Update(item T, weight int64) error {
-	return c.do("U", false, func() error {
-		resp, err := c.roundTrip("U %d %d", int64(item), weight)
+// readBatchAck reads a block's acknowledgement, which must be exactly
+// "OK <n>".
+func (c *Client[T]) readBatchAck(n int) error {
+	line, err := c.readReply()
+	if err != nil {
+		return err
+	}
+	var got int
+	if _, err := fmt.Sscanf(line, "OK %d", &got); err != nil || got != n {
+		return fmt.Errorf("server: unexpected batch response %q", line)
+	}
+	return nil
+}
+
+// handle is the per-command client surface, defined once for every
+// scope: a Client embeds the global handle (id "") and a TenantClient a
+// tenant's, so each method sends the same command, prefixed with
+// "TENANT <id>" when scoped, over the parent Client's connection.
+type handle[T ~int64 | ~uint64] struct {
+	cl *Client[T]
+	id string
+	// pre is the command prefix, "" or "TENANT <id> " with any '%' in
+	// the id escaped, ready to prepend to a format string.
+	pre string
+}
+
+// run sends one command in the handle's scope under the client's
+// fault-tolerance policy and hands the first reply line to parse.
+func (h *handle[T]) run(op string, idempotent bool, parse func(resp string) error, format string, args ...any) error {
+	if h.id != "" {
+		op = "TENANT " + op
+	}
+	return h.cl.do(op, idempotent, func() error {
+		resp, err := h.cl.roundTrip(h.pre+format, args...)
 		if err != nil {
 			return err
 		}
-		if resp != "OK" {
-			return fmt.Errorf("server: unexpected response %q", resp)
-		}
-		return nil
+		return parse(resp)
 	})
 }
 
-// UpdateBatch sends a batch of weighted updates as UB blocks — one
+// expectOK accepts exactly the bare "OK" acknowledgement.
+func expectOK(resp string) error {
+	if resp != "OK" {
+		return fmt.Errorf("server: unexpected response %q", resp)
+	}
+	return nil
+}
+
+// est runs one idempotent EST-replying command.
+func (h *handle[T]) est(op, format string, args ...any) (est, lb, ub int64, err error) {
+	err = h.run(op, true, func(resp string) error {
+		if _, serr := fmt.Sscanf(resp, "EST %d %d %d", &est, &lb, &ub); serr != nil {
+			return fmt.Errorf("server: bad response %q", resp)
+		}
+		return nil
+	}, format, args...)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return est, lb, ub, nil
+}
+
+// rows runs one idempotent MULTI-replying command.
+func (h *handle[T]) rows(op, format string, args ...any) ([]freq.Row[T], error) {
+	var rows []freq.Row[T]
+	err := h.run(op, true, func(resp string) (err error) {
+		rows, err = h.cl.readMulti(resp)
+		return err
+	}, format, args...)
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// snapshot runs one idempotent SNAP-replying command and decodes the
+// blob.
+func (h *handle[T]) snapshot(op, format string, args ...any) (*freq.Sketch[T], error) {
+	var sk *freq.Sketch[T]
+	err := h.run(op, true, func(resp string) (err error) {
+		sk, err = h.cl.readSnapshot(resp)
+		return err
+	}, format, args...)
+	if err != nil {
+		return nil, err
+	}
+	return sk, nil
+}
+
+// Update sends a weighted update. Not idempotent: a transport failure
+// returns a *TransportError and is never auto-retried — the caller
+// decides whether re-sending risks double counting.
+func (h *handle[T]) Update(item T, weight int64) error {
+	return h.run("U", false, expectOK, "U %d %d", int64(item), weight)
+}
+
+// UpdateBatch sends a batch of weighted updates in blocks — one
 // buffered write and one round trip per block instead of per update —
-// and waits for the server's acknowledgement. Batches longer than the
-// server's MaxWireBatch cap are chunked transparently. Each block is
+// and waits for the server's acknowledgement: UB blocks in text
+// framing, pairs frames in binary framing (tenant-scoped pairs frames
+// need BIN 2; on a BIN 1 connection a tenant's block degrades to
+// per-update command frames). Batches longer than the server's
+// MaxWireBatch cap are chunked transparently. Each block is
 // all-or-nothing on the server: mismatched lengths here or a negative
 // weight there reject it with no updates from that block applied.
-func (c *Client[T]) UpdateBatch(items []T, weights []int64) error {
+func (h *handle[T]) UpdateBatch(items []T, weights []int64) error {
 	if len(items) != len(weights) {
 		return fmt.Errorf("client: batch length mismatch: %d items, %d weights", len(items), len(weights))
 	}
 	for lo := 0; lo < len(items); lo += MaxWireBatch {
 		hi := min(lo+MaxWireBatch, len(items))
-		if err := c.updateBlock("", items[lo:hi], weights[lo:hi]); err != nil {
+		if err := h.updateBlock(items[lo:hi], weights[lo:hi]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// updateBlock ships one block of at most MaxWireBatch pairs, scoped to
-// tenant id when non-empty — a UB block in text framing, one opPairs
-// frame in binary framing. A tenant-scoped block on a BIN 1 connection
-// has no batch encoding (v1 pairs frames carry no id, and UB's pair
-// lines belong to the text framing), so it degrades to per-update
-// TENANT U command frames. Not idempotent: transport failures surface
-// as *TransportError, never auto-retried (each block is all-or-nothing
-// on the server, but a lost acknowledgement leaves applied-or-not
-// unknowable here).
-func (c *Client[T]) updateBlock(id string, items []T, weights []int64) error {
-	if len(items) == 0 {
+// Query returns (estimate, lowerBound, upperBound) for item in one
+// round trip. Idempotent: retried under WithRetry.
+func (h *handle[T]) Query(item T) (est, lb, ub int64, err error) {
+	return h.est("EST", "EST %d", int64(item))
+}
+
+// TopK returns the n largest items (server-side TOPK command, answered
+// from the server's epoch-cached merged view). Idempotent: retried
+// under WithRetry.
+func (h *handle[T]) TopK(n int) ([]freq.Row[T], error) {
+	return h.rows("TOPK", "TOPK %d", n)
+}
+
+// FrequentItemsAboveThreshold returns items qualifying against an
+// absolute threshold under et (server-side FI command). Idempotent:
+// retried under WithRetry.
+func (h *handle[T]) FrequentItemsAboveThreshold(threshold int64, et freq.ErrorType) ([]freq.Row[T], error) {
+	return h.rows("FI", "FI %d %d", int(et), threshold)
+}
+
+// HeavyHitters returns items above phi (in [0,1]) of the stream weight.
+// Idempotent: retried under WithRetry.
+func (h *handle[T]) HeavyHitters(phi float64) ([]freq.Row[T], error) {
+	return h.rows("HH", "HH %d", int(phi*1000))
+}
+
+// Stats returns the scoped summary's stream weight and error band.
+// Idempotent: retried under WithRetry.
+func (h *handle[T]) Stats() (n, maxErr int64, err error) {
+	st, err := h.stats()
+	return st.N, st.MaxErr, err
+}
+
+// Snapshot fetches the serialized summary and decodes it into a sketch —
+// the §3 geographically-distributed pattern over the wire, and the unit
+// the Cluster fan-out merges. The blob is the standard single-sketch
+// wire format, so global and tenant snapshots merge alike. Idempotent:
+// retried under WithRetry.
+func (h *handle[T]) Snapshot() (*freq.Sketch[T], error) {
+	return h.snapshot("SNAP", "SNAP")
+}
+
+// Window-scoped reads: each maps onto the WIN command, scoping the
+// query to the merged view of the last w window intervals. They error
+// when the server runs without a window.
+
+// QueryWindow returns (estimate, lowerBound, upperBound) for item over
+// the last w intervals of the sliding window. Idempotent: retried under
+// WithRetry.
+func (h *handle[T]) QueryWindow(w int, item T) (est, lb, ub int64, err error) {
+	return h.est("WIN EST", "WIN %d EST %d", w, int64(item))
+}
+
+// TopKWindow returns the n largest items over the last w intervals.
+// Idempotent: retried under WithRetry.
+func (h *handle[T]) TopKWindow(w, n int) ([]freq.Row[T], error) {
+	return h.rows("WIN TOPK", "WIN %d TOPK %d", w, n)
+}
+
+// FrequentItemsAboveThresholdWindow returns items qualifying against an
+// absolute threshold under et over the last w intervals. Idempotent:
+// retried under WithRetry.
+func (h *handle[T]) FrequentItemsAboveThresholdWindow(w int, threshold int64, et freq.ErrorType) ([]freq.Row[T], error) {
+	return h.rows("WIN FI", "WIN %d FI %d %d", w, int(et), threshold)
+}
+
+// SnapshotWindow fetches the serialized merged view of the last w
+// intervals and decodes it into an ordinary sketch — the blob is the
+// standard single-sketch wire format, so the result merges and queries
+// like any other snapshot (Cluster.RefreshWindow fans this out).
+// Idempotent: retried under WithRetry.
+func (h *handle[T]) SnapshotWindow(w int) (*freq.Sketch[T], error) {
+	return h.snapshot("WIN SNAP", "WIN %d SNAP", w)
+}
+
+// Range-scoped reads: each maps onto the RANGE command, scoping the
+// query to the merged summary of every slot the server's durable store
+// persisted over [from, to) — for a tenant, including history persisted
+// by eviction, so an evicted-and-recreated tenant's past remains
+// queryable. Bounds travel as unix seconds. They error when the server
+// runs without a store.
+
+// QueryRange returns (estimate, lowerBound, upperBound) for item over
+// the stored history covering [from, to). Idempotent: retried under
+// WithRetry.
+func (h *handle[T]) QueryRange(from, to time.Time, item T) (est, lb, ub int64, err error) {
+	return h.est("RANGE EST", "RANGE %d %d EST %d", from.Unix(), to.Unix(), int64(item))
+}
+
+// TopKRange returns the n largest items over the stored history
+// covering [from, to). Idempotent: retried under WithRetry.
+func (h *handle[T]) TopKRange(from, to time.Time, n int) ([]freq.Row[T], error) {
+	return h.rows("RANGE TOPK", "RANGE %d %d TOPK %d", from.Unix(), to.Unix(), n)
+}
+
+// FrequentItemsAboveThresholdRange returns items qualifying against an
+// absolute threshold under et over the stored history covering
+// [from, to). Idempotent: retried under WithRetry.
+func (h *handle[T]) FrequentItemsAboveThresholdRange(from, to time.Time, threshold int64, et freq.ErrorType) ([]freq.Row[T], error) {
+	return h.rows("RANGE FI", "RANGE %d %d FI %d %d", from.Unix(), to.Unix(), int(et), threshold)
+}
+
+// SnapshotRange fetches the serialized merged summary of the stored
+// history covering [from, to) — the standard single-sketch wire format,
+// decoded like any other snapshot. Idempotent: retried under WithRetry.
+func (h *handle[T]) SnapshotRange(from, to time.Time) (*freq.Sketch[T], error) {
+	return h.snapshot("RANGE SNAP", "RANGE %d %d SNAP", from.Unix(), to.Unix())
+}
+
+// Rotate advances the sliding window one interval and returns the
+// window's total rotation count. Not idempotent (each call advances
+// the ring): transport failures are never auto-retried.
+func (h *handle[T]) Rotate() (rotations int64, err error) {
+	err = h.run("ROTATE", false, func(resp string) error {
+		if _, serr := fmt.Sscanf(resp, "OK %d", &rotations); serr != nil {
+			return fmt.Errorf("server: unexpected response %q", resp)
+		}
 		return nil
+	}, "ROTATE")
+	if err != nil {
+		return 0, err
 	}
+	return rotations, nil
+}
+
+// Reset clears the live summary (stored history is untouched). Not
+// auto-retried.
+func (h *handle[T]) Reset() error {
+	return h.run("RESET", false, expectOK, "RESET")
+}
+
+// updateBlock ships one non-empty block of at most MaxWireBatch pairs
+// in the handle's scope — a UB block in text framing, one opPairs frame
+// in binary framing. A tenant-scoped block on a BIN 1 connection has no
+// batch encoding (v1 pairs frames carry no id, and UB's pair lines
+// belong to the text framing), so it degrades to per-update TENANT U
+// command frames. Not idempotent: transport failures surface as
+// *TransportError, never auto-retried (each block is all-or-nothing on
+// the server, but a lost acknowledgement leaves applied-or-not
+// unknowable here).
+func (h *handle[T]) updateBlock(items []T, weights []int64) error {
+	c := h.cl
 	return c.do("UB", false, func() error {
 		switch {
-		case c.bin && (id == "" || c.binVer >= 2):
-			return c.updateBlockBinary(id, items, weights)
+		case c.bin && (h.id == "" || c.binVer >= 2):
+			return c.updateBlockBinary(h.id, items, weights)
 		case c.bin:
 			// BIN 1 with a tenant scope: per-update command frames.
 			for i := range items {
-				resp, err := c.roundTrip("TENANT %s U %d %d", id, int64(items[i]), weights[i])
+				resp, err := c.roundTrip(h.pre+"U %d %d", int64(items[i]), weights[i])
+				if err == nil {
+					err = expectOK(resp)
+				}
 				if err != nil {
 					return err
-				}
-				if resp != "OK" {
-					return fmt.Errorf("server: unexpected response %q", resp)
 				}
 			}
 			return nil
 		default:
-			return c.updateBlockText(id, items, weights)
+			return c.updateBlockText(h.pre, items, weights)
 		}
 	})
 }
 
-// updateBlockText ships one UB block over the text framing, prefixed
-// with a TENANT scope when id is non-empty.
-func (c *Client[T]) updateBlockText(id string, items []T, weights []int64) error {
+// updateBlockText ships one UB block over the text framing, its header
+// prefixed with the scope's format-ready prefix pre.
+func (c *Client[T]) updateBlockText(pre string, items []T, weights []int64) error {
 	c.armWrite()
-	var err error
-	if id == "" {
-		_, err = fmt.Fprintf(c.w, "UB %d\n", len(items))
-	} else {
-		_, err = fmt.Fprintf(c.w, "TENANT %s UB %d\n", id, len(items))
-	}
-	if err != nil {
+	if _, err := fmt.Fprintf(c.w, pre+"UB %d\n", len(items)); err != nil {
 		return transportErr(err)
 	}
 	buf := make([]byte, 0, 48)
@@ -639,19 +848,7 @@ func (c *Client[T]) updateBlockText(id string, items []T, weights []int64) error
 	if err := c.w.Flush(); err != nil {
 		return transportErr(err)
 	}
-	line, err := c.readLine()
-	if err != nil {
-		return err
-	}
-	line = strings.TrimSpace(line)
-	if strings.HasPrefix(line, "ERR ") {
-		return fmt.Errorf("server: %s", line[4:])
-	}
-	var n int
-	if _, err := fmt.Sscanf(line, "OK %d", &n); err != nil || n != len(items) {
-		return fmt.Errorf("server: unexpected batch response %q", line)
-	}
-	return nil
+	return c.readBatchAck(len(items))
 }
 
 // updateBlockBinary encodes one pairs frame — pairSize bytes per
@@ -681,38 +878,7 @@ func (c *Client[T]) updateBlockBinary(id string, items []T, weights []int64) err
 	if err := c.writeFrame(opPairs, buf); err != nil {
 		return err
 	}
-	line, err := c.readLine()
-	if err != nil {
-		return err
-	}
-	line = strings.TrimSpace(line)
-	if strings.HasPrefix(line, "ERR ") {
-		return fmt.Errorf("server: %s", line[4:])
-	}
-	var n int
-	if _, err := fmt.Sscanf(line, "OK %d", &n); err != nil || n != len(items) {
-		return fmt.Errorf("server: unexpected batch response %q", line)
-	}
-	return nil
-}
-
-// Query returns (estimate, lowerBound, upperBound) for item in one
-// round trip. Idempotent: retried under WithRetry.
-func (c *Client[T]) Query(item T) (est, lb, ub int64, err error) {
-	err = c.do("EST", true, func() error {
-		resp, rerr := c.roundTrip("EST %d", int64(item))
-		if rerr != nil {
-			return rerr
-		}
-		if _, serr := fmt.Sscanf(resp, "EST %d %d %d", &est, &lb, &ub); serr != nil {
-			return fmt.Errorf("server: bad response %q", resp)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return est, lb, ub, nil
+	return c.readBatchAck(len(items))
 }
 
 // readMulti parses a MULTI block into rows.
@@ -739,104 +905,9 @@ func (c *Client[T]) readMulti(header string) ([]freq.Row[T], error) {
 	return rows, nil
 }
 
-// TopK returns the n largest items (server-side TOPK command, answered
-// from the server's epoch-cached merged view). Idempotent: retried
-// under WithRetry.
-func (c *Client[T]) TopK(n int) ([]freq.Row[T], error) {
-	var rows []freq.Row[T]
-	err := c.do("TOPK", true, func() error {
-		resp, err := c.roundTrip("TOPK %d", n)
-		if err != nil {
-			return err
-		}
-		rows, err = c.readMulti(resp)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // Top returns the n largest items. Deprecated name kept for existing
 // callers; identical to TopK.
 func (c *Client[T]) Top(n int) ([]freq.Row[T], error) { return c.TopK(n) }
-
-// FrequentItemsAboveThreshold returns items qualifying against an
-// absolute threshold under et (server-side FI command). Idempotent:
-// retried under WithRetry.
-func (c *Client[T]) FrequentItemsAboveThreshold(threshold int64, et freq.ErrorType) ([]freq.Row[T], error) {
-	return c.doMulti("FI", "FI %d %d", int(et), threshold)
-}
-
-// HeavyHitters returns items above phi (in [0,1]) of the stream weight.
-// Idempotent: retried under WithRetry.
-func (c *Client[T]) HeavyHitters(phi float64) ([]freq.Row[T], error) {
-	return c.doMulti("HH", "HH %d", int(phi*1000))
-}
-
-// doMulti runs one idempotent MULTI-replying command under the retry
-// policy.
-func (c *Client[T]) doMulti(op, format string, args ...any) ([]freq.Row[T], error) {
-	var rows []freq.Row[T]
-	err := c.do(op, true, func() error {
-		resp, err := c.roundTrip(format, args...)
-		if err != nil {
-			return err
-		}
-		rows, err = c.readMulti(resp)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// Stats returns the server-side stream weight and error band.
-// Idempotent: retried under WithRetry.
-func (c *Client[T]) Stats() (n, maxErr int64, err error) {
-	err = c.do("STATS", true, func() error {
-		resp, rerr := c.roundTrip("STATS")
-		if rerr != nil {
-			return rerr
-		}
-		var shards int
-		if _, serr := fmt.Sscanf(resp, "STATS n=%d err=%d shards=%d", &n, &maxErr, &shards); serr != nil {
-			return fmt.Errorf("server: bad stats %q", resp)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return n, maxErr, nil
-}
-
-// Snapshot fetches the serialized summary and decodes it into a sketch —
-// the §3 geographically-distributed pattern over the wire, and the unit
-// the Cluster fan-out merges. Idempotent: retried under WithRetry.
-func (c *Client[T]) Snapshot() (*freq.Sketch[T], error) {
-	return c.doSnapshot("SNAP", "SNAP")
-}
-
-// doSnapshot runs one idempotent snapshot-replying command under the
-// retry policy.
-func (c *Client[T]) doSnapshot(op, format string, args ...any) (*freq.Sketch[T], error) {
-	var sk *freq.Sketch[T]
-	err := c.do(op, true, func() error {
-		resp, err := c.roundTrip(format, args...)
-		if err != nil {
-			return err
-		}
-		sk, err = c.readSnapshot(resp)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sk, nil
-}
 
 // readSnapshot consumes a "SNAP <bytes>" header's blob and decodes it.
 func (c *Client[T]) readSnapshot(header string) (*freq.Sketch[T], error) {
@@ -859,141 +930,15 @@ func (c *Client[T]) readSnapshot(header string) (*freq.Sketch[T], error) {
 	return sk, nil
 }
 
-// Window-scoped pass-throughs: each maps onto the WIN command, scoping
-// the query to the merged view of the server's last w window intervals.
-// They error when the server runs without a window.
-
-// QueryWindow returns (estimate, lowerBound, upperBound) for item over
-// the last w intervals of the server's sliding window. Idempotent:
-// retried under WithRetry.
-func (c *Client[T]) QueryWindow(w int, item T) (est, lb, ub int64, err error) {
-	err = c.do("WIN EST", true, func() error {
-		resp, rerr := c.roundTrip("WIN %d EST %d", w, int64(item))
-		if rerr != nil {
-			return rerr
-		}
-		if _, serr := fmt.Sscanf(resp, "EST %d %d %d", &est, &lb, &ub); serr != nil {
-			return fmt.Errorf("server: bad response %q", resp)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return est, lb, ub, nil
-}
-
-// TopKWindow returns the n largest items over the last w intervals.
-// Idempotent: retried under WithRetry.
-func (c *Client[T]) TopKWindow(w, n int) ([]freq.Row[T], error) {
-	return c.doMulti("WIN TOPK", "WIN %d TOPK %d", w, n)
-}
-
-// FrequentItemsAboveThresholdWindow returns items qualifying against an
-// absolute threshold under et over the last w intervals. Idempotent:
-// retried under WithRetry.
-func (c *Client[T]) FrequentItemsAboveThresholdWindow(w int, threshold int64, et freq.ErrorType) ([]freq.Row[T], error) {
-	return c.doMulti("WIN FI", "WIN %d FI %d %d", w, int(et), threshold)
-}
-
-// SnapshotWindow fetches the serialized merged view of the last w
-// intervals and decodes it into an ordinary sketch — the blob is the
-// standard single-sketch wire format, so the result merges and queries
-// like any other snapshot (Cluster.RefreshWindow fans this out).
-// Idempotent: retried under WithRetry.
-func (c *Client[T]) SnapshotWindow(w int) (*freq.Sketch[T], error) {
-	return c.doSnapshot("WIN SNAP", "WIN %d SNAP", w)
-}
-
-// Range-scoped pass-throughs: each maps onto the RANGE command, scoping
-// the query to the merged summary of every window slot the server's
-// durable store persisted over [from, to). Bounds travel as unix
-// seconds. They error when the server runs without a store.
-
-// QueryRange returns (estimate, lowerBound, upperBound) for item over
-// the stored history covering [from, to). Idempotent: retried under
-// WithRetry.
-func (c *Client[T]) QueryRange(from, to time.Time, item T) (est, lb, ub int64, err error) {
-	err = c.do("RANGE EST", true, func() error {
-		resp, rerr := c.roundTrip("RANGE %d %d EST %d", from.Unix(), to.Unix(), int64(item))
-		if rerr != nil {
-			return rerr
-		}
-		if _, serr := fmt.Sscanf(resp, "EST %d %d %d", &est, &lb, &ub); serr != nil {
-			return fmt.Errorf("server: bad response %q", resp)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return est, lb, ub, nil
-}
-
-// TopKRange returns the n largest items over the stored history
-// covering [from, to). Idempotent: retried under WithRetry.
-func (c *Client[T]) TopKRange(from, to time.Time, n int) ([]freq.Row[T], error) {
-	return c.doMulti("RANGE TOPK", "RANGE %d %d TOPK %d", from.Unix(), to.Unix(), n)
-}
-
-// FrequentItemsAboveThresholdRange returns items qualifying against an
-// absolute threshold under et over the stored history covering
-// [from, to). Idempotent: retried under WithRetry.
-func (c *Client[T]) FrequentItemsAboveThresholdRange(from, to time.Time, threshold int64, et freq.ErrorType) ([]freq.Row[T], error) {
-	return c.doMulti("RANGE FI", "RANGE %d %d FI %d %d", from.Unix(), to.Unix(), int(et), threshold)
-}
-
-// SnapshotRange fetches the serialized merged summary of the stored
-// history covering [from, to) — the standard single-sketch wire format,
-// decoded like any other snapshot. Idempotent: retried under WithRetry.
-func (c *Client[T]) SnapshotRange(from, to time.Time) (*freq.Sketch[T], error) {
-	return c.doSnapshot("RANGE SNAP", "RANGE %d %d SNAP", from.Unix(), to.Unix())
-}
-
-// Rotate advances the server's sliding window one interval and returns
-// the server's total rotation count. Not idempotent (each call advances
-// the ring): transport failures are never auto-retried.
-func (c *Client[T]) Rotate() (rotations int64, err error) {
-	err = c.do("ROTATE", false, func() error {
-		resp, rerr := c.roundTrip("ROTATE")
-		if rerr != nil {
-			return rerr
-		}
-		if _, serr := fmt.Sscanf(resp, "OK %d", &rotations); serr != nil {
-			return fmt.Errorf("server: unexpected response %q", resp)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return rotations, nil
-}
-
-// Reset clears the server-side summary. Not auto-retried.
-func (c *Client[T]) Reset() error {
-	return c.do("RESET", false, func() error {
-		resp, err := c.roundTrip("RESET")
-		if err != nil {
-			return err
-		}
-		if resp != "OK" {
-			return fmt.Errorf("server: unexpected response %q", resp)
-		}
-		return nil
-	})
-}
-
 // Raw sends a raw protocol line and returns the first response line
 // (diagnostics and protocol tests). The command's idempotence is
 // unknowable here, so Raw is never auto-retried.
 func (c *Client[T]) Raw(line string) (string, error) {
 	var resp string
-	err := c.do("RAW", false, func() error {
-		var rerr error
-		resp, rerr = c.roundTrip("%s", line)
-		return rerr
-	})
+	err := c.run("RAW", false, func(r string) error {
+		resp = r
+		return nil
+	}, "%s", line)
 	if err != nil {
 		return "", err
 	}
@@ -1064,4 +1009,77 @@ func (c *Client[T]) All() iter.Seq2[T, freq.Row[T]] {
 			}
 		}
 	}
+}
+
+// ServerStats is the fully parsed STATS reply. Fields absent from the
+// reply (an older server, or one running without a window, store, or
+// tenant manager) are zero.
+type ServerStats struct {
+	// N is the global summary's stream weight; MaxErr its error band.
+	N, MaxErr int64
+	// Shards is the global summary's shard count.
+	Shards int
+	// WindowSlots is the sliding window's interval count (0 without a
+	// window).
+	WindowSlots int
+	// StorePartitions is the durable store's live partition count (0
+	// without a store).
+	StorePartitions int
+	// Tenants is the live tenant count and TenantsMax the registry
+	// capacity (both 0 without a tenant manager).
+	Tenants, TenantsMax int
+	// TenantEvictions counts tenants evicted (idle-TTL, capacity
+	// pressure, or explicit EVICT) since the server started.
+	TenantEvictions int64
+}
+
+// StatsFull returns the fully parsed STATS reply — stream weight and
+// error band like Stats, plus the window, store, and tenant occupancy
+// fields. Unknown key=value fields are ignored, so newer servers stay
+// parseable. Idempotent: retried under WithRetry.
+func (c *Client[T]) StatsFull() (ServerStats, error) { return c.stats() }
+
+// stats runs STATS in the handle's scope and parses the reply's
+// key=value fields; a tenant's reply carries only the leading ones.
+func (h *handle[T]) stats() (ServerStats, error) {
+	var st ServerStats
+	err := h.run("STATS", true, func(resp string) error {
+		rest, ok := strings.CutPrefix(resp, "STATS ")
+		if !ok {
+			return fmt.Errorf("server: bad stats %q", resp)
+		}
+		for _, field := range strings.Fields(rest) {
+			key, val, ok := strings.Cut(field, "=")
+			if !ok {
+				return fmt.Errorf("server: bad stats field %q in %q", field, resp)
+			}
+			n, perr := strconv.ParseInt(val, 10, 64)
+			if perr != nil {
+				return fmt.Errorf("server: bad stats value %q in %q", field, resp)
+			}
+			switch key {
+			case "n":
+				st.N = n
+			case "err":
+				st.MaxErr = n
+			case "shards":
+				st.Shards = int(n)
+			case "slots":
+				st.WindowSlots = int(n)
+			case "partitions":
+				st.StorePartitions = int(n)
+			case "tenants":
+				st.Tenants = int(n)
+			case "tenants_max":
+				st.TenantsMax = int(n)
+			case "tenant_evictions":
+				st.TenantEvictions = n
+			}
+		}
+		return nil
+	}, "STATS")
+	if err != nil {
+		return ServerStats{}, err
+	}
+	return st, nil
 }

@@ -10,8 +10,11 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -364,6 +367,13 @@ func TestConformanceTenantCommands(t *testing.T) {
 		},
 		"TENANT HH":       func(tc *TenantClient[int64]) ([]freq.Row[int64], error) { return tc.HeavyHitters(0.01) },
 		"TENANT WIN TOPK": func(tc *TenantClient[int64]) ([]freq.Row[int64], error) { return tc.TopKWindow(2, 10) },
+		"TENANT WIN FI": func(tc *TenantClient[int64]) ([]freq.Row[int64], error) {
+			return tc.FrequentItemsAboveThresholdWindow(2, 20, freq.NoFalsePositives)
+		},
+		"TENANT WIN EST": func(tc *TenantClient[int64]) ([]freq.Row[int64], error) {
+			est, lb, ub, err := tc.QueryWindow(2, 3)
+			return []freq.Row[int64]{{Item: 3, Estimate: est, LowerBound: lb, UpperBound: ub}}, err
+		},
 	} {
 		ta, err1 := p.text.Tenant("alice")
 		ba, err2 := p.bin.Tenant("alice")
@@ -404,6 +414,24 @@ func TestConformanceTenantCommands(t *testing.T) {
 		}
 		if !reflect.DeepEqual(tr, br) {
 			t.Fatalf("TENANT RANGE TOPK diverged:\n  text:   %v\n  binary: %v", tr, br)
+		}
+		for name, fn := range map[string]rowsFn{
+			"TENANT RANGE FI": func(tc *TenantClient[int64]) ([]freq.Row[int64], error) {
+				return tc.FrequentItemsAboveThresholdRange(time.Unix(from, 0), time.Unix(to, 0), 20, freq.NoFalseNegatives)
+			},
+			"TENANT RANGE EST": func(tc *TenantClient[int64]) ([]freq.Row[int64], error) {
+				est, lb, ub, err := tc.QueryRange(time.Unix(from, 0), time.Unix(to, 0), 3)
+				return []freq.Row[int64]{{Item: 3, Estimate: est, LowerBound: lb, UpperBound: ub}}, err
+			},
+		} {
+			tr, terr := fn(ta)
+			br, berr := fn(ba)
+			if terr != nil || berr != nil || len(tr) == 0 {
+				t.Fatalf("%s: text err %v, binary err %v, %d rows", name, terr, berr, len(tr))
+			}
+			if !reflect.DeepEqual(tr, br) {
+				t.Fatalf("%s: divergent rows:\n  text:   %v\n  binary: %v", name, tr, br)
+			}
 		}
 	}
 
@@ -448,5 +476,251 @@ func TestConformanceBatchReplyParity(t *testing.T) {
 	bw := p.binSrv.Sketch().StreamWeight()
 	if tw != 6 || bw != 6 {
 		t.Fatalf("stream weights after rejected block: text %d, binary %d, want 6", tw, bw)
+	}
+}
+
+// wireGoldenPath holds the recorded reply transcript of the wire script
+// in TestConformanceWireGolden. Any change to a reply byte — a reworded
+// ERR, a reordered row, a new field — shows up as a diff against it.
+const wireGoldenPath = "testdata/wire_golden.txt"
+
+// wireTranscript records one client's side of the golden wire script:
+// every request as a "> <line>" line followed by its reply bytes
+// verbatim. SNAP blobs are recorded as their length and SHA-256, except
+// RANGE snapshots, whose accumulator draws a per-server seed: their
+// blob is decoded and its rows digested instead.
+type wireTranscript struct {
+	t     *testing.T
+	c     *Client[int64]
+	srv   *testServer
+	clock time.Time
+	out   strings.Builder
+}
+
+// cmd sends one command line and records the raw reply.
+func (w *wireTranscript) cmd(line string) {
+	w.t.Helper()
+	c := w.c
+	fmt.Fprintf(&w.out, "> %s\n", line)
+	var err error
+	if c.bin {
+		err = c.writeFrame(opCmd, []byte(line))
+	} else {
+		_, err = fmt.Fprintf(c.w, "%s\n", line)
+		if err == nil {
+			err = c.w.Flush()
+		}
+	}
+	if err != nil {
+		w.t.Fatalf("%q: %v", line, err)
+	}
+	head := w.readLine(line)
+	w.out.WriteString(head)
+	var n int
+	switch {
+	case strings.HasPrefix(head, "MULTI "):
+		if _, err := fmt.Sscanf(head, "MULTI %d", &n); err != nil {
+			w.t.Fatalf("%q: bad header %q", line, head)
+		}
+		for i := 0; i < n; i++ {
+			w.out.WriteString(w.readLine(line))
+		}
+	case strings.HasPrefix(head, "SNAP "):
+		if _, err := fmt.Sscanf(head, "SNAP %d", &n); err != nil {
+			w.t.Fatalf("%q: bad header %q", line, head)
+		}
+		blob := make([]byte, n)
+		if err := c.readBlobInto(blob); err != nil {
+			w.t.Fatalf("%q: %v", line, err)
+		}
+		if !strings.Contains(strings.ToUpper(line), "RANGE") {
+			fmt.Fprintf(&w.out, "blob sha256 %x\n", sha256.Sum256(blob))
+			break
+		}
+		sk, err := freq.New[int64](64)
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		if err := sk.UnmarshalBinary(blob); err != nil {
+			w.t.Fatalf("%q: %v", line, err)
+		}
+		rows := sk.FrequentItemsAboveThreshold(-1, freq.NoFalseNegatives)
+		fmt.Fprintf(&w.out, "blob n=%d err=%d rows sha256 %x\n", sk.StreamWeight(), sk.MaximumError(),
+			sha256.Sum256([]byte(fmt.Sprint(rows))))
+	}
+}
+
+func (w *wireTranscript) readLine(line string) string {
+	w.t.Helper()
+	s, err := w.c.readLine()
+	if err != nil {
+		w.t.Fatalf("%q: %v", line, err)
+	}
+	return s
+}
+
+// batch ingests one block through the framing's batch path (UB lines
+// in text, a pairs frame in binary) scoped to tenant id when non-empty;
+// the client accepts only the exact "OK <n>" acknowledgement.
+func (w *wireTranscript) batch(id string, items, weights []int64) {
+	w.t.Helper()
+	fmt.Fprintf(&w.out, "> batch %q %d\n", id, len(items))
+	update := w.c.UpdateBatch
+	if id != "" {
+		tc, err := w.c.Tenant(id)
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		update = tc.UpdateBatch
+	}
+	if err := update(items, weights); err != nil {
+		w.t.Fatal(err)
+	}
+	fmt.Fprintf(&w.out, "OK %d\n", len(items))
+}
+
+// rotate flushes the connection, then rotates the global window at the
+// next pinned instant so the retired slot lands in the store at a fixed
+// time.
+func (w *wireTranscript) rotate() {
+	w.t.Helper()
+	w.cmd("STATS")
+	w.clock = w.clock.Add(10 * time.Second)
+	w.srv.Windowed().RotateAt(w.clock)
+	if err := w.srv.Windowed().SinkErr(); err != nil {
+		w.t.Fatal(err)
+	}
+	fmt.Fprintf(&w.out, "# rotated at %d\n", w.clock.Unix())
+}
+
+// run drives the whole script. It avoids every dependence on the wall
+// clock: pinned rotations feed the global store, RANGE bounds either end
+// before the first unpinned boundary or span far past today, and the
+// wire ROTATE and EVICT (which stamp real time) come after every query
+// whose answer could depend on when they ran.
+func (w *wireTranscript) run() string {
+	for i := 0; i < 30; i++ {
+		w.cmd(fmt.Sprintf("U %d %d", i%7, 1+i%5))
+	}
+	items := make([]int64, 600)
+	weights := make([]int64, 600)
+	for i := range items {
+		items[i] = int64(i * i % 301)
+		weights[i] = int64(1 + i%11)
+	}
+	w.batch("", items, weights)
+	for i := 0; i < 12; i++ {
+		w.cmd(fmt.Sprintf("TENANT alice U %d %d", i%5, 2+i%3))
+	}
+	for i := range items[:300] {
+		items[i] = int64(i * 3 % 97)
+	}
+	w.batch("alice", items[:300], weights[:300])
+	w.batch("bob", []int64{5, 6, 7}, []int64{500, 60, 7})
+	w.rotate()
+	w.batch("", []int64{1, 2, 3, 301, 302}, []int64{1000, 500, 250, 125, 60})
+	w.cmd("TENANT alice ROTATE")
+	w.cmd("TENANT alice U 42 77")
+	w.rotate()
+	w.cmd("U 42 4242")
+
+	// Every scope × every read command.
+	for _, scope := range []string{"", "TENANT alice ", "TENANT bob "} {
+		for _, win := range []string{"", "WIN 1 ", "WIN 3 ", "RANGE 1699999990 1700000005 ",
+			"RANGE 1699999990 1700000030 ", "RANGE 100 200 ", "RANGE 2023-11-14T22:13:00Z 2100-01-01T00:00:00Z "} {
+			for _, cmd := range []string{"EST 1", "Q 2", "EST 42", "EST 999", "TOPK 5", "TOP 3",
+				"FI 0 50", "FI NFN 50", "FI nfp 0", "SNAP", "SNAPSHOT"} {
+				w.cmd(scope + win + cmd)
+			}
+		}
+		w.cmd(scope + "HH 10")
+		w.cmd(scope + "HH 500")
+		w.cmd(scope + "WIN 2 HH 10")
+		w.cmd(scope + "RANGE 0 4102444800 HH 10")
+		w.cmd(scope + "STATS")
+	}
+	w.cmd("est 1")
+	w.cmd("win 2 topk 3")
+	w.cmd("Tenant alice Win 2 Est 1")
+	w.cmd("tenant alice range 0 4102444800 q 1")
+
+	// Error surface.
+	long := strings.Repeat("x", tenant.MaxIDLen+1)
+	for _, line := range []string{
+		"EST", "EST notanumber", "EST 1 2", "Q", "TOPK", "TOPK 0", "TOPK x", "TOP -1", "FI 9 100",
+		"FI NFP notanumber", "FI 0", "HH", "HH 5000", "HH -1", "HH x", "U 1", "U x y", "U 1 -5",
+		"SNAP 1", "NOSUCH 1 2 3",
+		"WIN", "WIN 2", "WIN 0 EST 1", "WIN x EST 1", "WIN 2 NOPE 1", "WIN 2 EST", "WIN 2 EST x",
+		"WIN 2 TOPK", "WIN 2 TOPK 0", "WIN 2 FI 0", "WIN 2 FI 7 1", "WIN 2 U 1 1", "WIN 2 ROTATE", "WIN 2 STATS",
+		"WIN 2 WIN 2 EST 1", "WIN 2 RANGE 0 1 EST 1", "WIN 2 TENANT alice EST 1", "WIN 2 SNAP 1",
+		"RANGE", "RANGE 1 2", "RANGE 20 10 EST 1", "RANGE 10 10 EST 1", "RANGE a b EST 1",
+		"RANGE 0 b EST 1", "RANGE 0 4102444800 NOPE", "RANGE 0 4102444800 EST",
+		"RANGE 0 4102444800 TOPK", "RANGE 0 4102444800 TOPK 0", "RANGE 0 4102444800 FI 0",
+		"RANGE 0 4102444800 FI x 1", "RANGE 0 4102444800 SNAP 1", "RANGE 0 4102444800 STATS",
+		"RANGE 0 4102444800 WIN 2 EST 1", "RANGE 0 4102444800 U 1 1",
+		"TENANT", "TENANT alice", "TENANT alice NOPE 1", "TENANT alice U 1", "TENANT alice U x y",
+		"TENANT alice U 1 -1", "TENANT alice EVICT extra", "TENANT alice WIN 0 EST 1",
+		"TENANT alice WIN 2", "TENANT alice WIN x EST 1", "TENANT alice WIN 2 NOPE", "TENANT alice WIN 2 ROTATE", "TENANT alice RANGE 1 2", "TENANT alice RANGE 20 10 EST 1",
+		"TENANT alice RANGE 0 4102444800 NOPE", "TENANT alice TOPK 0", "TENANT alice EST",
+		"TENANT alice FI 0", "TENANT alice HH 2000", "TENANT alice STATS x",
+		"TENANT alice TENANT bob EST 1", "TENANT alice HELLO BIN 2", "TENANT alice QUIT",
+		"TENANT " + long + " EST 1", "TENANT ghost EVICT", "TENANT carol NOPE 1", "STATS",
+	} {
+		w.cmd(line)
+	}
+
+	// Mutations stamped with real time come last.
+	w.cmd("TENANT alice ROTATE")
+	w.cmd("TENANT alice STATS")
+	w.cmd("TENANT bob RESET")
+	w.cmd("TENANT bob STATS")
+	w.cmd("TENANT bob EST 5")
+	w.cmd("TENANT alice EVICT")
+	w.cmd("TENANT alice EVICT")
+	for _, cmd := range []string{"EST 1", "EST 42", "TOPK 5", "FI NFN 10", "SNAP"} {
+		w.cmd("TENANT alice RANGE 0 4102444800 " + cmd)
+	}
+	w.cmd("TENANT alice EST 1")
+	w.cmd("TENANT alice STATS")
+	w.cmd("ROTATE")
+	w.cmd("RANGE 0 4102444800 TOPK 5")
+	w.cmd("RANGE 0 4102444800 EST 42")
+	w.cmd("WIN 3 EST 42")
+	w.cmd("STATS")
+	w.cmd("RESET")
+	w.cmd("STATS")
+	w.cmd("EST 1")
+	w.cmd("WIN 3 EST 1")
+	w.cmd("WIN 3 SNAP")
+	w.cmd("SNAP")
+	return w.out.String()
+}
+
+// TestConformanceWireGolden drives one fixed script — {global, TENANT}
+// × {live, WIN, RANGE} × every read command, plus the mutations and the
+// error surface — through both framings and requires each transcript to
+// match the recorded one byte for byte.
+func TestConformanceWireGolden(t *testing.T) {
+	want, err := os.ReadFile(wireGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newConformancePair(t)
+	for _, side := range []struct {
+		name string
+		c    *Client[int64]
+		srv  *testServer
+	}{{"text", p.text, p.textSrv}, {"binary", p.bin, p.binSrv}} {
+		w := &wireTranscript{t: t, c: side.c, srv: side.srv, clock: p.clock}
+		if got := w.run(); got != string(want) {
+			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+			for i := range min(len(gl), len(wl)) {
+				if gl[i] != wl[i] {
+					t.Fatalf("%s transcript diverges from %s at line %d:\n  got:  %q\n  want: %q",
+						side.name, wireGoldenPath, i+1, gl[i], wl[i])
+				}
+			}
+			t.Fatalf("%s transcript has %d lines, %s has %d", side.name, len(gl), wireGoldenPath, len(wl))
+		}
 	}
 }

@@ -45,13 +45,39 @@
 //	STATS                 summary state               -> "STATS n=<N> err=<maxError> shards=<s> slots=<w> partitions=<p> tenants=<t> tenants_max=<m> tenant_evictions=<e>"
 //	SNAP                  serialized summary          -> "SNAP <bytes>" then <bytes> of sketch wire format
 //	SNAPSHOT              alias of SNAP               -> "SNAP <bytes>" then blob
-//	WIN <w> <cmd> ...     window-scoped query         -> the scoped command's ordinary reply
-//	RANGE <f> <t> <cmd> .. historical range query      -> the scoped command's ordinary reply
-//	TENANT <id> <cmd> ... tenant-scoped command       -> the scoped command's ordinary reply
 //	ROTATE                advance the window          -> "OK <rotations>"
 //	RESET                 clear the summary           -> "OK"
+//	EVICT                 evict the scoped tenant     -> "OK"
 //	HELLO <proto> <ver>   negotiate framing           -> "HELLO <proto> <ver>" or ERR
 //	QUIT                  close the connection        -> "BYE"
+//
+// # Scopes
+//
+// Every command line may carry a scope prefix:
+//
+//	[TENANT <id>] [WIN <w> | RANGE <from> <to>] <command> ...
+//
+// TENANT <id> runs the command against one tenant's summary pair
+// instead of the global one (see "Multi-tenancy"). WIN <w> narrows a
+// read to the last <w> window intervals (see "Windowing"), and
+// RANGE <from> <to> to the stored history over [<from>, <to>) (see
+// "Historical ranges"). A scoped command answers with exactly the
+// reply shape of its unscoped form. The scopes each command accepts:
+//
+//	command                              global   TENANT <id>   WIN / RANGE
+//	EST, Q, TOPK, TOP, FI, SNAP(SHOT)    yes      yes           yes
+//	U, UB, HH, STATS, ROTATE, RESET      yes      yes           -
+//	EVICT                                -        yes           -
+//	HELLO, QUIT                          yes      -             -
+//
+// WIN and RANGE scope the global pair or, after TENANT, the tenant's.
+// A command outside its scopes is an unknown command of that scope
+// ("ERR unknown window command ..."), as is a scope word where a
+// command belongs ("WIN 2 WIN 2 EST 1"). Prefix fields are checked left
+// to right, so a line reports its first fault. The tenant STATS reply
+// carries only the leading fields,
+// "STATS n=<N> err=<maxError> shards=<s> slots=<w>"; TENANT UB is
+// text-framing only (binary clients send v2 PAIRS frames).
 //
 // STATS fields beyond shards describe optional subsystems and read 0
 // when the subsystem is off: slots is the sliding window's interval
@@ -104,18 +130,11 @@
 // A server started with a sliding window (Config.WindowIntervals,
 // freqd's -window flag) maintains a rotating ring of per-interval
 // sketches alongside the all-time summary; every update lands in both.
-// WIN scopes a read to the merged view of the last <w> window intervals
-// (w >= 1, clamped to the ring size):
-//
-//	WIN <w> EST <item>            windowed point query   -> "EST <estimate> <lower> <upper>"
-//	WIN <w> TOPK <k>              windowed top k         -> MULTI block
-//	WIN <w> FI <et> <threshold>   windowed threshold     -> MULTI block
-//	WIN <w> SNAP                  windowed snapshot      -> "SNAP <bytes>" then blob
-//
-// Q, TOP, and SNAPSHOT alias inside WIN exactly as they do at top
-// level. WIN SNAP's blob is the ordinary single-sketch wire format —
-// the merged last-w view — so the same client decode path (and the
-// Cluster fan-out, via RefreshWindow) consumes it. ROTATE advances the
+// WIN <w> scopes a read to the merged view of the last <w> window
+// intervals (w >= 1, clamped to the ring size). WIN SNAP's blob is the
+// ordinary single-sketch wire format — the merged last-w view — so the
+// same client decode path (and the Cluster fan-out, via RefreshWindow)
+// consumes it. ROTATE advances the
 // ring one interval: the oldest interval's counters leave the window
 // and its sketch is recycled as the new head. freqd drives rotation
 // with a wall-clock ticker (-rotate-every); ROTATE composes with it for
@@ -128,22 +147,14 @@
 // flag) also answers over intervals that have already left the window:
 // every rotation hands the retired interval to the store, and RANGE
 // merges the persisted slots overlapping [<from>, <to>) back into one
-// summary, scoping the same read commands WIN scopes:
-//
-//	RANGE <from> <to> EST <item>            historical point query  -> "EST <estimate> <lower> <upper>"
-//	RANGE <from> <to> TOPK <k>              historical top k        -> MULTI block
-//	RANGE <from> <to> FI <et> <threshold>   historical threshold    -> MULTI block
-//	RANGE <from> <to> SNAP                  historical snapshot     -> "SNAP <bytes>" then blob
-//
-// <from> and <to> are each either decimal unix seconds or an RFC 3339
+// summary, scoping the same read commands WIN scopes. <from> and <to> are each either decimal unix seconds or an RFC 3339
 // timestamp ("2026-01-02T15:04:05Z"); <to> must be strictly after
 // <from>. The range is half-open and selects whole persisted slots by
 // overlap, so answers are exact at slot boundaries and conservative
-// (slot-granular) inside them. Q, TOP, and SNAPSHOT alias inside RANGE
-// exactly as they do at top level, and RANGE SNAP's blob is the
-// ordinary single-sketch wire format. The merged accumulator is
-// recycled per connection, so a polling loop over a stable range
-// allocates nothing after the first reply. The live head interval is
+// (slot-granular) inside them. RANGE SNAP's blob is the ordinary
+// single-sketch wire format. The merged accumulator is recycled per
+// connection, so a polling loop over a stable range allocates nothing
+// after the first reply. The live head interval is
 // not visible to RANGE until it rotates. On a server with no store
 // configured, RANGE replies ERR.
 //
@@ -151,21 +162,8 @@
 //
 // A server started with a tenant registry (Config.Tenants, freqd's
 // -tenants flag) also serves isolated per-tenant summaries keyed by an
-// opaque id. TENANT scopes any command to one tenant's sketch:
-//
-//	TENANT <id> U <item> <weight>     tenant update            -> "OK"
-//	TENANT <id> UB <count>            tenant bulk ingest       -> "OK <count>"  (text framing only)
-//	TENANT <id> EST <item>            tenant point query       -> "EST <estimate> <lower> <upper>"
-//	TENANT <id> TOPK <k>              tenant top k             -> MULTI block
-//	TENANT <id> FI <et> <threshold>   tenant threshold         -> MULTI block
-//	TENANT <id> HH <phi-millis>       tenant heavy hitters     -> MULTI block
-//	TENANT <id> STATS                 tenant summary state     -> "STATS n=<N> err=<maxError> shards=<s> slots=<w>"
-//	TENANT <id> SNAP                  tenant snapshot          -> "SNAP <bytes>" then blob
-//	TENANT <id> WIN <w> <cmd> ...     tenant windowed query    -> the scoped command's ordinary reply
-//	TENANT <id> RANGE <f> <t> <cmd> . tenant historical query  -> the scoped command's ordinary reply
-//	TENANT <id> ROTATE                advance tenant window    -> "OK <rotations>"
-//	TENANT <id> RESET                 clear tenant summary     -> "OK"
-//	TENANT <id> EVICT                 evict the tenant         -> "OK"
+// opaque id. TENANT <id> scopes a command to that tenant's summary pair
+// (see "Scopes" for the commands it accepts); EVICT is tenant-only.
 //
 // A tenant id is 1 to 128 bytes of printable non-space ASCII. Tenants
 // are created lazily: the first TENANT command naming an id allocates
@@ -179,12 +177,15 @@
 // store (automatic with freqd's -store-dir), the evicted tenant's
 // counters are first persisted under a tenant-scoped partition prefix,
 // so TENANT <id> RANGE answers over the full history — including
-// pre-eviction generations — after the tenant is re-created. EVICT on
-// an id that was never created replies ERR ("unknown tenant"); all
-// other TENANT commands create on demand. Q, TOP, and SNAPSHOT alias
-// inside TENANT exactly as they do at top level. The aliases, error
-// surfaces, and reply bytes of every scoped command are identical to
-// the global forms; the cross-framing conformance suite pins that.
+// pre-eviction generations — after the tenant is re-created. A failed
+// persist refuses the eviction: EVICT replies ERR and the tenant stays
+// live with its counts, a creation that needed the capacity eviction
+// fails with the same error, and the idle sweep retries next tick.
+// EVICT on an id that was never created replies ERR ("unknown
+// tenant"); all other TENANT commands create on demand. The aliases,
+// error surfaces, and reply bytes of every scoped command are
+// identical to the global forms; the cross-framing conformance suite
+// and its recorded wire transcript pin that.
 //
 // Over binary framing, TENANT commands travel in CMD frames like any
 // other — except TENANT UB, which is rejected ("text-framing only"):

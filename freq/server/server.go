@@ -536,16 +536,226 @@ func (s *Server) handle(nc net.Conn, st *connState) {
 	}
 }
 
+// Scopes a command may run in; commandScopes maps each command word to
+// the set it accepts.
+const (
+	// inGlobal is an unscoped line: the global summary pair.
+	inGlobal = 1 << iota
+	// inTenant is a TENANT <id> line: the acquired tenant's pair.
+	inTenant
+	// inHistory is a WIN or RANGE line, under either pair: reads only.
+	inHistory
+
+	anyScope  = inGlobal | inTenant | inHistory
+	pairScope = inGlobal | inTenant
+)
+
+// commandScopes is the command table. Reads run in every scope; the
+// commands that write or describe a summary pair need a live pair,
+// global or tenant; EVICT names a tenant; framing and connection
+// commands belong to the unscoped line. A word missing here, or used
+// outside its scopes, is an unknown command of that scope.
+var commandScopes = map[string]uint8{
+	"EST": anyScope, "Q": anyScope, "TOPK": anyScope, "TOP": anyScope,
+	"FI": anyScope, "SNAP": anyScope, "SNAPSHOT": anyScope,
+	"U": pairScope, "UB": pairScope, "HH": pairScope, "STATS": pairScope,
+	"ROTATE": pairScope, "RESET": pairScope,
+	"EVICT": inTenant,
+	"HELLO": inGlobal, "QUIT": inGlobal,
+}
+
+// target is what a command runs against once its scope prefix is
+// resolved: the global summary pair or an acquired tenant's, read live,
+// over the window's last w intervals, or through a merged RANGE history.
+type target struct {
+	sk  *freq.Concurrent[int64]
+	win *freq.ConcurrentWindowed[int64]
+	// id is the TENANT prefix's id, "" on a global line; ten is the
+	// tenant acquired behind sk and win, released after the command.
+	id  string
+	ten *tenant.Tenant[int64]
+	// w > 0 scopes reads to the last w window intervals; hist, when
+	// set, scopes them to a merged RANGE history instead.
+	w    int
+	hist *freq.Sketch[int64]
+	// in is the scope bit. kind, usage and idUsage qualify error text:
+	// "window " in "unknown window command", "WIN <w> " in read-command
+	// usage, "TENANT <id> " in U and UB usage.
+	in                   uint8
+	kind, usage, idUsage string
+}
+
+// scope parses and resolves a line's optional scope prefix,
+// [TENANT <id>] [WIN <w> | RANGE <from> <to>], returning the target and
+// the command word and arguments that follow. Each prefix field is
+// checked before the next is parsed, so a line reports its first fault.
+// The tenant is acquired as its prefix resolves — except for EVICT,
+// which must not hold the handle it retires, and UB, whose pair lines
+// are consumed first — and the caller releases it, on error too.
+func (c *conn) scope(cmd string, args []string) (t target, _ string, _ []string, err error) {
+	s := c.srv
+	t = target{sk: s.sketch, win: s.win, in: inGlobal}
+	if cmd == "TENANT" {
+		if s.tenants == nil {
+			return t, "", nil, ErrNoTenants
+		}
+		if len(args) < 2 {
+			return t, "", nil, errors.New("usage: TENANT <id> <command> ...")
+		}
+		t.id, cmd, args = args[0], strings.ToUpper(args[1]), args[2:]
+		t.in, t.kind, t.idUsage = inTenant, "tenant ", "TENANT <id> "
+		if cmd != "EVICT" && cmd != "UB" {
+			if err := t.acquire(s.tenants); err != nil {
+				return t, "", nil, err
+			}
+		}
+	}
+	switch cmd {
+	case "WIN":
+		if t.win == nil {
+			return t, "", nil, ErrNoWindow
+		}
+		if len(args) < 2 {
+			return t, "", nil, errors.New("usage: WIN <w> <EST|TOPK|FI|SNAP> ...")
+		}
+		if t.w, err = strconv.Atoi(args[0]); err != nil || t.w < 1 {
+			return t, "", nil, errors.New("bad window width")
+		}
+		t.in, t.kind, t.usage = inHistory, "window ", "WIN <w> "
+		return t, strings.ToUpper(args[1]), args[2:], nil
+	case "RANGE":
+		if t.id == "" && s.store == nil {
+			return t, "", nil, ErrNoStore
+		}
+		if t.id != "" && s.tenantStore == nil {
+			return t, "", nil, ErrNoTenantStore
+		}
+		if len(args) < 3 {
+			return t, "", nil, errors.New("usage: RANGE <from> <to> <EST|TOPK|FI|SNAP> ...")
+		}
+		from, err := parseTime(args[0])
+		if err != nil {
+			return t, "", nil, fmt.Errorf("bad from: %w", err)
+		}
+		to, err := parseTime(args[1])
+		if err != nil {
+			return t, "", nil, fmt.Errorf("bad to: %w", err)
+		}
+		if !to.After(from) {
+			return t, "", nil, errors.New("empty range: to must be after from")
+		}
+		// The merge reuses the connection's accumulator, so polling a
+		// stable range allocates nothing.
+		var hist *freq.Sketch[int64]
+		if t.id == "" {
+			hist, err = s.store.QueryInto(c.rangeSk, from, to)
+		} else {
+			hist, err = s.tenantStore.QueryTenantInto(t.id, c.rangeSk, from, to)
+		}
+		if hist != nil {
+			c.rangeSk = hist
+		}
+		if err != nil {
+			return t, "", nil, err
+		}
+		t.hist, t.in, t.kind, t.usage = hist, inHistory, "range ", "RANGE <from> <to> "
+		return t, strings.ToUpper(args[2]), args[3:], nil
+	}
+	return t, cmd, args, nil
+}
+
+// acquire pins tenant t.id and points the target's pair at its
+// summaries.
+func (t *target) acquire(m *tenant.Manager[int64]) error {
+	ten, err := m.Acquire(t.id)
+	if err != nil {
+		return err
+	}
+	t.ten, t.sk, t.win = ten, ten.Sketch(), ten.Windowed()
+	return nil
+}
+
+// release unpins the acquired tenant, if any.
+func (t *target) release() {
+	if t.ten != nil {
+		t.ten.Release()
+	}
+}
+
+// batch applies one all-or-nothing block to both summaries of the pair.
+func (t *target) batch(items, weights []int64) error {
+	if err := t.sk.UpdateWeightedBatch(items, weights); err != nil {
+		return err
+	}
+	if t.win != nil {
+		// Validated by the all-time batch above; cannot fail.
+		_ = t.win.UpdateWeightedBatch(items, weights)
+	}
+	return nil
+}
+
+// bounds answers EST: on the live summary from one shard-lock hold, so
+// a concurrent flush cannot tear lb <= est <= ub.
+func (t *target) bounds(item int64) (est, lb, ub int64) {
+	switch {
+	case t.hist != nil:
+		return t.hist.Estimate(item), t.hist.LowerBound(item), t.hist.UpperBound(item)
+	case t.w > 0:
+		return t.win.EstimateLast(t.w, item)
+	}
+	return t.sk.EstimateBounds(item)
+}
+
+// topK answers TOPK; live reads come from the epoch-cached merged view.
+func (t *target) topK(n int) []freq.Row[int64] {
+	switch {
+	case t.hist != nil:
+		return t.hist.TopK(n)
+	case t.w > 0:
+		return t.win.TopKLast(t.w, n)
+	}
+	return t.sk.TopK(n)
+}
+
+// above answers FI and HH.
+func (t *target) above(threshold int64, et freq.ErrorType) []freq.Row[int64] {
+	switch {
+	case t.hist != nil:
+		return t.hist.FrequentItemsAboveThreshold(threshold, et)
+	case t.w > 0:
+		return t.win.FrequentItemsAboveThresholdLast(t.w, threshold, et)
+	}
+	return t.sk.FrequentItemsAboveThreshold(threshold, et)
+}
+
+// appendBinary answers SNAP: every scope encodes the ordinary
+// single-sketch wire format, so one client decode path serves them all.
+// The live blob is the epoch-cached merged view, so a SNAP poll loop
+// against an unchanged summary re-merges nothing.
+func (t *target) appendBinary(dst []byte) ([]byte, error) {
+	switch {
+	case t.hist != nil:
+		return t.hist.AppendBinary(dst)
+	case t.w > 0:
+		return t.win.AppendBinaryLast(t.w, dst)
+	}
+	v, err := t.sk.View()
+	if err != nil {
+		return dst, err
+	}
+	return v.AppendBinary(dst)
+}
+
 // dispatch executes one protocol line, writing the response to the
-// connection. Updates (U, UB) ride the buffered batch path; every other
-// command flushes the connection's writer first, so a connection always
-// reads its own writes.
+// connection: it resolves the line's scope, checks the command against
+// the command table, and runs it on the target. Updates (U, UB) ride the
+// buffered batch path; every other command flushes the connection's
+// writer first, so a connection always reads its own writes.
 func (c *conn) dispatch(line string) (quit bool, err error) {
 	s := c.srv
 	w := c.w
 	fields := strings.Fields(line)
 	cmd := strings.ToUpper(fields[0])
-	args := fields[1:]
 	if cmd != "U" && cmd != "UB" {
 		if err := c.writer.Flush(); err != nil {
 			return false, err
@@ -554,101 +764,172 @@ func (c *conn) dispatch(line string) (quit bool, err error) {
 			c.flushWindowed()
 		}
 	}
+	t, cmd, args, err := c.scope(cmd, fields[1:])
+	defer t.release()
+	if err != nil {
+		return false, err
+	}
+	if commandScopes[cmd]&t.in == 0 {
+		return false, fmt.Errorf("unknown %scommand %q", t.kind, cmd)
+	}
 	switch cmd {
 	case "U":
 		if len(args) != 2 {
-			return false, errors.New("usage: U <item> <weight>")
+			return false, fmt.Errorf("usage: %sU <item> <weight>", t.idUsage)
 		}
 		item, err1 := strconv.ParseInt(args[0], 10, 64)
 		weight, err2 := strconv.ParseInt(args[1], 10, 64)
 		if err1 != nil || err2 != nil {
 			return false, errors.New("bad integer")
 		}
-		if err := c.writer.Add(item, weight); err != nil {
-			return false, err
-		}
-		if s.win != nil {
+		if t.ten != nil {
+			err = t.ten.Update(item, weight)
+		} else if err = c.writer.Add(item, weight); err == nil && s.win != nil {
 			c.addWindowed(item, weight)
+		}
+		if err != nil {
+			return false, err
 		}
 		s.statsMu.Lock()
 		s.updates++
 		s.statsMu.Unlock()
 		fmt.Fprintln(w, "OK")
 	case "UB":
-		items, weights, q, err := c.readBatch(args, "UB <count>")
+		if t.id != "" && c.bin {
+			// Inside a CMD frame the pair lines would have to be read
+			// from the binary stream as text — a framing violation. The
+			// binary tenant batch path is a v2 PAIRS frame.
+			return false, errors.New("TENANT UB is text-framing only (binary clients send v2 PAIRS frames)")
+		}
+		items, weights, q, err := c.readBatch(args, t.idUsage+"UB <count>")
 		if err != nil {
 			return q, err
 		}
-		// Preserve per-connection ordering: buffered singles land before
-		// the batch, and the batch is all-or-nothing.
-		if err := c.writer.Flush(); err != nil {
+		if t.id != "" {
+			// Acquired only now that the pair lines are consumed: a
+			// failed acquire (bad id, full registry) must still leave
+			// the connection synchronized.
+			if err := t.acquire(s.tenants); err != nil {
+				return false, err
+			}
+		} else {
+			// Preserve per-connection ordering: buffered singles land
+			// before the batch, and the batch is all-or-nothing.
+			if err := c.writer.Flush(); err != nil {
+				return false, err
+			}
+			if s.win != nil {
+				c.flushWindowed()
+			}
+		}
+		if err := t.batch(items, weights); err != nil {
 			return false, err
-		}
-		if s.win != nil {
-			c.flushWindowed()
-		}
-		if err := s.sketch.UpdateWeightedBatch(items, weights); err != nil {
-			return false, err
-		}
-		if s.win != nil {
-			// Validated by the all-time batch above; cannot fail.
-			_ = s.win.UpdateWeightedBatch(items, weights)
 		}
 		s.statsMu.Lock()
 		s.updates += int64(len(items))
 		s.statsMu.Unlock()
 		fmt.Fprintf(w, "OK %d\n", len(items))
 	case "Q", "EST":
-		return false, c.cmdEstimate(cmd, args, s.sketch)
+		if len(args) != 1 {
+			return false, fmt.Errorf("usage: %s%s <item>", t.usage, cmd)
+		}
+		item, err := strconv.ParseInt(args[0], 10, 64)
+		if err != nil {
+			return false, errors.New("bad integer")
+		}
+		s.statsMu.Lock()
+		s.queries++
+		s.statsMu.Unlock()
+		est, lb, ub := t.bounds(item)
+		fmt.Fprintf(w, "EST %d %d %d\n", est, lb, ub)
 	case "TOP", "TOPK":
-		return false, c.cmdTopK(cmd, args, s.sketch)
+		if len(args) != 1 {
+			return false, fmt.Errorf("usage: %s%s <n>", t.usage, cmd)
+		}
+		n, err := strconv.Atoi(args[0])
+		if err != nil || n < 1 {
+			return false, errors.New("bad count")
+		}
+		writeRows(w, t.topK(n))
 	case "FI":
-		return false, c.cmdFI(args, s.sketch)
+		if len(args) != 2 {
+			return false, fmt.Errorf("usage: %sFI <et> <threshold>", t.usage)
+		}
+		et, err := parseErrorType(args[0])
+		if err != nil {
+			return false, err
+		}
+		threshold, err := strconv.ParseInt(args[1], 10, 64)
+		if err != nil {
+			return false, errors.New("bad threshold")
+		}
+		writeRows(w, t.above(threshold, et))
 	case "HH":
-		return false, c.cmdHH(args, s.sketch)
+		if len(args) != 1 {
+			return false, errors.New("usage: HH <phi-millis>")
+		}
+		millis, err := strconv.Atoi(args[0])
+		if err != nil || millis < 0 || millis > 1000 {
+			return false, errors.New("phi-millis must be 0..1000")
+		}
+		threshold := int64(float64(millis) / 1000 * float64(t.sk.StreamWeight()))
+		writeRows(w, t.above(threshold, freq.NoFalseNegatives))
+	case "SNAPSHOT", "SNAP":
+		buf, err := t.appendBinary(c.snapBuf[:0])
+		c.snapBuf = buf
+		if err != nil {
+			return false, err
+		}
+		fmt.Fprintf(w, "SNAP %d\n", len(buf))
+		if _, err := w.Write(buf); err != nil {
+			return false, err
+		}
 	case "STATS":
 		// One consistent reply shape regardless of configuration: the
-		// optional subsystems report zero when absent. Clients parse the
-		// leading fields positionally (Client.Stats) or the whole line
-		// as key=value pairs (Client.StatsFull); both tolerate growth.
+		// optional subsystems report zero when absent, and a tenant's
+		// reply is the global one's leading fields. The stock client
+		// parses key=value pairs and ignores unknown keys, so the line
+		// may grow; collectors may parse the leading fields
+		// positionally, so their order is fixed.
 		slots := 0
-		if s.win != nil {
-			slots = s.win.Intervals()
+		if t.win != nil {
+			slots = t.win.Intervals()
 		}
-		partitions := 0
-		if pc, ok := s.store.(interface{ PartitionCount() int }); ok {
-			partitions = pc.PartitionCount()
+		fmt.Fprintf(w, "STATS n=%d err=%d shards=%d slots=%d",
+			t.sk.StreamWeight(), t.sk.MaximumError(), t.sk.NumShards(), slots)
+		if t.id == "" {
+			partitions := 0
+			if pc, ok := s.store.(interface{ PartitionCount() int }); ok {
+				partitions = pc.PartitionCount()
+			}
+			var ts tenant.Stats
+			if s.tenants != nil {
+				ts = s.tenants.Stats()
+			}
+			fmt.Fprintf(w, " partitions=%d tenants=%d tenants_max=%d tenant_evictions=%d",
+				partitions, ts.Active, ts.Max, ts.Evictions)
 		}
-		var ts tenant.Stats
-		if s.tenants != nil {
-			ts = s.tenants.Stats()
-		}
-		fmt.Fprintf(w, "STATS n=%d err=%d shards=%d slots=%d partitions=%d tenants=%d tenants_max=%d tenant_evictions=%d\n",
-			s.sketch.StreamWeight(), s.sketch.MaximumError(), s.sketch.NumShards(),
-			slots, partitions, ts.Active, ts.Max, ts.Evictions)
-	case "SNAPSHOT", "SNAP":
-		return false, c.cmdSnap(s.sketch)
-	case "WIN":
-		return c.dispatchWindow(s.win, args)
-	case "RANGE":
-		if s.store == nil {
-			return false, ErrNoStore
-		}
-		return c.dispatchRange(args, s.store.QueryInto)
-	case "TENANT":
-		return c.dispatchTenant(args)
+		fmt.Fprintln(w)
 	case "ROTATE":
-		if s.win == nil {
+		if t.win == nil {
 			return false, ErrNoWindow
 		}
-		s.win.Rotate()
-		fmt.Fprintf(w, "OK %d\n", s.win.Rotations())
+		t.win.Rotate()
+		fmt.Fprintf(w, "OK %d\n", t.win.Rotations())
 	case "RESET":
-		// Both summaries clear together: a reset server must not keep
+		// Both summaries clear together: a reset pair must not keep
 		// answering window-scoped queries from pre-reset data.
-		s.sketch.Reset()
-		if s.win != nil {
-			s.win.Reset()
+		t.sk.Reset()
+		if t.win != nil {
+			t.win.Reset()
+		}
+		fmt.Fprintln(w, "OK")
+	case "EVICT":
+		if len(args) != 0 {
+			return false, errors.New("usage: TENANT <id> EVICT")
+		}
+		if err := s.tenants.Evict(t.id); err != nil {
+			return false, err
 		}
 		fmt.Fprintln(w, "OK")
 	case "HELLO":
@@ -688,8 +969,6 @@ func (c *conn) dispatch(line string) (quit bool, err error) {
 	case "QUIT":
 		fmt.Fprintln(w, "BYE")
 		return true, nil
-	default:
-		return false, fmt.Errorf("unknown command %q", cmd)
 	}
 	return false, nil
 }
@@ -783,375 +1062,6 @@ func (c *conn) drainLines(n int) bool {
 		}
 	}
 	return true
-}
-
-// dispatchWindow executes one WIN-scoped query: the read commands
-// (EST/Q, TOPK/TOP, FI, SNAP/SNAPSHOT) against the merged view of the
-// last w intervals of win — the global sliding window or a tenant's
-// twin — with replies shaped exactly like their all-time counterparts.
-func (c *conn) dispatchWindow(win *freq.ConcurrentWindowed[int64], args []string) (quit bool, err error) {
-	s := c.srv
-	w := c.w
-	if win == nil {
-		return false, ErrNoWindow
-	}
-	if len(args) < 2 {
-		return false, errors.New("usage: WIN <w> <EST|TOPK|FI|SNAP> ...")
-	}
-	width, err := strconv.Atoi(args[0])
-	if err != nil || width < 1 {
-		return false, errors.New("bad window width")
-	}
-	sub := strings.ToUpper(args[1])
-	rest := args[2:]
-	switch sub {
-	case "Q", "EST":
-		if len(rest) != 1 {
-			return false, fmt.Errorf("usage: WIN <w> %s <item>", sub)
-		}
-		item, err := strconv.ParseInt(rest[0], 10, 64)
-		if err != nil {
-			return false, errors.New("bad integer")
-		}
-		s.statsMu.Lock()
-		s.queries++
-		s.statsMu.Unlock()
-		est, lb, ub := win.EstimateLast(width, item)
-		fmt.Fprintf(w, "EST %d %d %d\n", est, lb, ub)
-	case "TOP", "TOPK":
-		if len(rest) != 1 {
-			return false, fmt.Errorf("usage: WIN <w> %s <n>", sub)
-		}
-		n, err := strconv.Atoi(rest[0])
-		if err != nil || n < 1 {
-			return false, errors.New("bad count")
-		}
-		writeRows(w, win.TopKLast(width, n))
-	case "FI":
-		if len(rest) != 2 {
-			return false, errors.New("usage: WIN <w> FI <et> <threshold>")
-		}
-		et, err := parseErrorType(rest[0])
-		if err != nil {
-			return false, err
-		}
-		threshold, err := strconv.ParseInt(rest[1], 10, 64)
-		if err != nil {
-			return false, errors.New("bad threshold")
-		}
-		writeRows(w, win.FrequentItemsAboveThresholdLast(width, threshold, et))
-	case "SNAPSHOT", "SNAP":
-		// A window-scoped snapshot is the merged view of the last w
-		// intervals in the ordinary single-sketch wire format — the
-		// same blob shape as SNAP, so the client decode path is shared.
-		buf, snapErr := win.AppendBinaryLast(width, c.snapBuf[:0])
-		c.snapBuf = buf
-		if snapErr != nil {
-			return false, snapErr
-		}
-		fmt.Fprintf(w, "SNAP %d\n", len(c.snapBuf))
-		if _, err := w.Write(c.snapBuf); err != nil {
-			return false, err
-		}
-	default:
-		return false, fmt.Errorf("unknown window command %q", sub)
-	}
-	return false, nil
-}
-
-// dispatchRange executes one RANGE-scoped query: the read commands
-// (EST/Q, TOPK/TOP, FI, SNAP/SNAPSHOT) against the merged summary of
-// every persisted slot overlapping [from, to), with replies shaped
-// exactly like their all-time and WIN counterparts. query is the
-// history to merge from — the global store's QueryInto or a
-// tenant-scoped closure over the tenant store. The merge reuses the
-// connection's accumulator, so polling a stable range costs no
-// allocation.
-func (c *conn) dispatchRange(args []string, query func(dst *freq.Sketch[int64], from, to time.Time) (*freq.Sketch[int64], error)) (quit bool, err error) {
-	s := c.srv
-	w := c.w
-	if len(args) < 3 {
-		return false, errors.New("usage: RANGE <from> <to> <EST|TOPK|FI|SNAP> ...")
-	}
-	from, err := parseTime(args[0])
-	if err != nil {
-		return false, fmt.Errorf("bad from: %w", err)
-	}
-	to, err := parseTime(args[1])
-	if err != nil {
-		return false, fmt.Errorf("bad to: %w", err)
-	}
-	if !to.After(from) {
-		return false, errors.New("empty range: to must be after from")
-	}
-	sk, err := query(c.rangeSk, from, to)
-	if sk != nil {
-		c.rangeSk = sk
-	}
-	if err != nil {
-		return false, err
-	}
-	v := freq.NewView(sk)
-	sub := strings.ToUpper(args[2])
-	rest := args[3:]
-	switch sub {
-	case "Q", "EST":
-		if len(rest) != 1 {
-			return false, fmt.Errorf("usage: RANGE <from> <to> %s <item>", sub)
-		}
-		item, err := strconv.ParseInt(rest[0], 10, 64)
-		if err != nil {
-			return false, errors.New("bad integer")
-		}
-		s.statsMu.Lock()
-		s.queries++
-		s.statsMu.Unlock()
-		fmt.Fprintf(w, "EST %d %d %d\n", v.Estimate(item), v.LowerBound(item), v.UpperBound(item))
-	case "TOP", "TOPK":
-		if len(rest) != 1 {
-			return false, fmt.Errorf("usage: RANGE <from> <to> %s <n>", sub)
-		}
-		n, err := strconv.Atoi(rest[0])
-		if err != nil || n < 1 {
-			return false, errors.New("bad count")
-		}
-		writeRows(w, v.TopK(n))
-	case "FI":
-		if len(rest) != 2 {
-			return false, errors.New("usage: RANGE <from> <to> FI <et> <threshold>")
-		}
-		et, err := parseErrorType(rest[0])
-		if err != nil {
-			return false, err
-		}
-		threshold, err := strconv.ParseInt(rest[1], 10, 64)
-		if err != nil {
-			return false, errors.New("bad threshold")
-		}
-		writeRows(w, v.FrequentItemsAboveThreshold(threshold, et))
-	case "SNAPSHOT", "SNAP":
-		// A range snapshot is the merged historical summary in the
-		// ordinary single-sketch wire format — the same blob shape as
-		// SNAP and WIN SNAP, so the client decode path is shared.
-		buf, snapErr := v.AppendBinary(c.snapBuf[:0])
-		c.snapBuf = buf
-		if snapErr != nil {
-			return false, snapErr
-		}
-		fmt.Fprintf(w, "SNAP %d\n", len(c.snapBuf))
-		if _, err := w.Write(c.snapBuf); err != nil {
-			return false, err
-		}
-	default:
-		return false, fmt.Errorf("unknown range command %q", sub)
-	}
-	return false, nil
-}
-
-// cmdEstimate serves EST/Q against sk — the global summary or an
-// acquired tenant's. cmd names the command for usage text.
-func (c *conn) cmdEstimate(cmd string, args []string, sk *freq.Concurrent[int64]) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: %s <item>", cmd)
-	}
-	item, err := strconv.ParseInt(args[0], 10, 64)
-	if err != nil {
-		return errors.New("bad integer")
-	}
-	s := c.srv
-	s.statsMu.Lock()
-	s.queries++
-	s.statsMu.Unlock()
-	fmt.Fprintf(c.w, "EST %d %d %d\n", sk.Estimate(item), sk.LowerBound(item), sk.UpperBound(item))
-	return nil
-}
-
-// cmdTopK serves TOPK/TOP against sk.
-func (c *conn) cmdTopK(cmd string, args []string, sk *freq.Concurrent[int64]) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: %s <n>", cmd)
-	}
-	n, err := strconv.Atoi(args[0])
-	if err != nil || n < 1 {
-		return errors.New("bad count")
-	}
-	writeRows(c.w, sk.TopK(n))
-	return nil
-}
-
-// cmdFI serves FI against sk.
-func (c *conn) cmdFI(args []string, sk *freq.Concurrent[int64]) error {
-	if len(args) != 2 {
-		return errors.New("usage: FI <et> <threshold>")
-	}
-	et, err := parseErrorType(args[0])
-	if err != nil {
-		return err
-	}
-	threshold, err := strconv.ParseInt(args[1], 10, 64)
-	if err != nil {
-		return errors.New("bad threshold")
-	}
-	writeRows(c.w, sk.FrequentItemsAboveThreshold(threshold, et))
-	return nil
-}
-
-// cmdHH serves HH against sk.
-func (c *conn) cmdHH(args []string, sk *freq.Concurrent[int64]) error {
-	if len(args) != 1 {
-		return errors.New("usage: HH <phi-millis>")
-	}
-	millis, err := strconv.Atoi(args[0])
-	if err != nil || millis < 0 || millis > 1000 {
-		return errors.New("phi-millis must be 0..1000")
-	}
-	threshold := int64(float64(millis) / 1000 * float64(sk.StreamWeight()))
-	writeRows(c.w, sk.FrequentItemsAboveThreshold(threshold, freq.NoFalseNegatives))
-	return nil
-}
-
-// cmdSnap serves SNAP/SNAPSHOT against sk from its epoch-cached merged
-// view: repeated SNAPs with no interleaved writes re-merge nothing, and
-// the encoding reuses the connection's buffer.
-func (c *conn) cmdSnap(sk *freq.Concurrent[int64]) error {
-	v, err := sk.View()
-	if err != nil {
-		return err
-	}
-	c.snapBuf, err = v.AppendBinary(c.snapBuf[:0])
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(c.w, "SNAP %d\n", len(c.snapBuf))
-	if _, err := c.w.Write(c.snapBuf); err != nil {
-		return err
-	}
-	return nil
-}
-
-// dispatchTenant executes one TENANT-scoped command: the same command
-// surface as the global dispatcher (U, UB, EST/Q, TOPK/TOP, FI, HH,
-// SNAP, STATS, WIN, RANGE, ROTATE, RESET — plus EVICT), run against the
-// tenant's own summary pair from the registry. The tenant handle is
-// acquired for exactly the duration of the command, so an eviction can
-// never recycle the tables out from under a command in flight.
-func (c *conn) dispatchTenant(args []string) (quit bool, err error) {
-	s := c.srv
-	if s.tenants == nil {
-		return false, ErrNoTenants
-	}
-	if len(args) < 2 {
-		return false, errors.New("usage: TENANT <id> <command> ...")
-	}
-	id := args[0]
-	sub := strings.ToUpper(args[1])
-	rest := args[2:]
-	w := c.w
-	switch sub {
-	case "EVICT":
-		// EVICT must not acquire the handle it is trying to retire: a
-		// held handle is exactly what Evict rejects as busy.
-		if len(rest) != 0 {
-			return false, errors.New("usage: TENANT <id> EVICT")
-		}
-		if err := s.tenants.Evict(id); err != nil {
-			return false, err
-		}
-		fmt.Fprintln(w, "OK")
-		return false, nil
-	case "UB":
-		if c.bin {
-			// Inside a CMD frame the pair lines would have to be read
-			// from the binary stream as text — a framing violation. The
-			// binary tenant batch path is a v2 PAIRS frame.
-			return false, errors.New("TENANT UB is text-framing only (binary clients send v2 PAIRS frames)")
-		}
-		// The client committed the pair lines to the wire with the
-		// header, so consume the batch before acquiring: a failed
-		// acquire (bad id, full registry) must still leave the
-		// connection synchronized.
-		items, weights, q, berr := c.readBatch(rest, "TENANT <id> UB <count>")
-		if berr != nil {
-			return q, berr
-		}
-		ten, aerr := s.tenants.Acquire(id)
-		if aerr != nil {
-			return false, aerr
-		}
-		defer ten.Release()
-		if berr := ten.UpdateWeightedBatch(items, weights); berr != nil {
-			return false, berr
-		}
-		s.statsMu.Lock()
-		s.updates += int64(len(items))
-		s.statsMu.Unlock()
-		fmt.Fprintf(w, "OK %d\n", len(items))
-		return false, nil
-	}
-	ten, err := s.tenants.Acquire(id)
-	if err != nil {
-		return false, err
-	}
-	defer ten.Release()
-	switch sub {
-	case "U":
-		if len(rest) != 2 {
-			return false, errors.New("usage: TENANT <id> U <item> <weight>")
-		}
-		item, err1 := strconv.ParseInt(rest[0], 10, 64)
-		weight, err2 := strconv.ParseInt(rest[1], 10, 64)
-		if err1 != nil || err2 != nil {
-			return false, errors.New("bad integer")
-		}
-		if err := ten.Update(item, weight); err != nil {
-			return false, err
-		}
-		s.statsMu.Lock()
-		s.updates++
-		s.statsMu.Unlock()
-		fmt.Fprintln(w, "OK")
-	case "Q", "EST":
-		return false, c.cmdEstimate(sub, rest, ten.Sketch())
-	case "TOP", "TOPK":
-		return false, c.cmdTopK(sub, rest, ten.Sketch())
-	case "FI":
-		return false, c.cmdFI(rest, ten.Sketch())
-	case "HH":
-		return false, c.cmdHH(rest, ten.Sketch())
-	case "SNAPSHOT", "SNAP":
-		return false, c.cmdSnap(ten.Sketch())
-	case "STATS":
-		// The tenant-scoped reply leads with the same fields as the
-		// global one, so the client's positional prefix parse is shared.
-		slots := 0
-		if win := ten.Windowed(); win != nil {
-			slots = win.Intervals()
-		}
-		fmt.Fprintf(w, "STATS n=%d err=%d shards=%d slots=%d\n",
-			ten.Sketch().StreamWeight(), ten.Sketch().MaximumError(), ten.Sketch().NumShards(), slots)
-	case "WIN":
-		return c.dispatchWindow(ten.Windowed(), rest)
-	case "RANGE":
-		if s.tenantStore == nil {
-			return false, ErrNoTenantStore
-		}
-		return c.dispatchRange(rest, func(dst *freq.Sketch[int64], from, to time.Time) (*freq.Sketch[int64], error) {
-			return s.tenantStore.QueryTenantInto(id, dst, from, to)
-		})
-	case "ROTATE":
-		win := ten.Windowed()
-		if win == nil {
-			return false, ErrNoWindow
-		}
-		win.Rotate()
-		fmt.Fprintf(w, "OK %d\n", win.Rotations())
-	case "RESET":
-		ten.Reset()
-		fmt.Fprintln(w, "OK")
-	default:
-		return false, fmt.Errorf("unknown tenant command %q", sub)
-	}
-	return false, nil
 }
 
 // parseTime reads a RANGE bound: integer unix seconds or an RFC 3339

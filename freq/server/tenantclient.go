@@ -2,26 +2,24 @@ package server
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
-	"time"
 
-	"repro/freq"
 	"repro/freq/tenant"
 )
 
-// TenantClient scopes a Client to one tenant: every method maps onto
-// the corresponding global command with a "TENANT <id>" prefix, sharing
-// the parent's connection, framing, and fault-tolerance policy. Handles
-// are cheap — Tenant performs no network round trip — and a collector
-// multiplexing many tenants holds one handle per tenant over a single
-// connection. Like the parent Client, a handle is not safe for
-// concurrent use, and handles of one Client must not be used
-// concurrently with each other or with the parent (they interleave on
-// the same reply stream).
+// TenantClient scopes a Client to one tenant: it carries every
+// per-command method of Client (Update, UpdateBatch, Query, TopK, FI,
+// HH, Stats, Snapshot and their WIN- and RANGE-scoped forms, Rotate,
+// Reset), each sending the same command with a "TENANT <id>" prefix
+// over the parent's connection, framing, and fault-tolerance policy,
+// plus Evict. Handles are cheap — Tenant performs no network round
+// trip — and a collector multiplexing many tenants holds one handle per
+// tenant over a single connection. Like the parent Client, a handle is
+// not safe for concurrent use, and handles of one Client must not be
+// used concurrently with each other or with the parent (they interleave
+// on the same reply stream).
 type TenantClient[T ~int64 | ~uint64] struct {
-	c  *Client[T]
-	id string
+	handle[T]
 }
 
 // Tenant returns a handle scoped to tenant id. The id is validated
@@ -32,298 +30,18 @@ func (c *Client[T]) Tenant(id string) (*TenantClient[T], error) {
 	if !tenant.ValidID(id) {
 		return nil, fmt.Errorf("client: %w: %q", tenant.ErrBadID, id)
 	}
-	return &TenantClient[T]{c: c, id: id}, nil
+	pre := "TENANT " + strings.ReplaceAll(id, "%", "%%") + " "
+	return &TenantClient[T]{handle[T]{cl: c, id: id, pre: pre}}, nil
 }
 
 // ID returns the tenant id this handle is scoped to.
 func (t *TenantClient[T]) ID() string { return t.id }
 
-// Update sends one weighted update scoped to this tenant. Not
-// idempotent: never auto-retried.
-func (t *TenantClient[T]) Update(item T, weight int64) error {
-	return t.c.do("TENANT U", false, func() error {
-		resp, err := t.c.roundTrip("TENANT %s U %d %d", t.id, int64(item), weight)
-		if err != nil {
-			return err
-		}
-		if resp != "OK" {
-			return fmt.Errorf("server: unexpected response %q", resp)
-		}
-		return nil
-	})
-}
-
-// UpdateBatch sends a batch of weighted updates scoped to this tenant —
-// UB blocks in text framing, v2 pairs frames carrying the tenant id on
-// a BIN 2 connection, and per-update command frames on a BIN 1
-// connection (whose pairs frames cannot carry a scope). Chunked at
-// MaxWireBatch like the global UpdateBatch; each block is
-// all-or-nothing on the server.
-func (t *TenantClient[T]) UpdateBatch(items []T, weights []int64) error {
-	if len(items) != len(weights) {
-		return fmt.Errorf("client: batch length mismatch: %d items, %d weights", len(items), len(weights))
-	}
-	for lo := 0; lo < len(items); lo += MaxWireBatch {
-		hi := min(lo+MaxWireBatch, len(items))
-		if err := t.c.updateBlock(t.id, items[lo:hi], weights[lo:hi]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Query returns (estimate, lowerBound, upperBound) for item against
-// this tenant's summary. Idempotent: retried under WithRetry.
-func (t *TenantClient[T]) Query(item T) (est, lb, ub int64, err error) {
-	err = t.c.do("TENANT EST", true, func() error {
-		resp, rerr := t.c.roundTrip("TENANT %s EST %d", t.id, int64(item))
-		if rerr != nil {
-			return rerr
-		}
-		if _, serr := fmt.Sscanf(resp, "EST %d %d %d", &est, &lb, &ub); serr != nil {
-			return fmt.Errorf("server: bad response %q", resp)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return est, lb, ub, nil
-}
-
-// TopK returns the n largest items in this tenant's summary.
-// Idempotent: retried under WithRetry.
-func (t *TenantClient[T]) TopK(n int) ([]freq.Row[T], error) {
-	return t.c.doMulti("TENANT TOPK", "TENANT %s TOPK %d", t.id, n)
-}
-
-// FrequentItemsAboveThreshold returns this tenant's items qualifying
-// against an absolute threshold under et. Idempotent: retried under
-// WithRetry.
-func (t *TenantClient[T]) FrequentItemsAboveThreshold(threshold int64, et freq.ErrorType) ([]freq.Row[T], error) {
-	return t.c.doMulti("TENANT FI", "TENANT %s FI %d %d", t.id, int(et), threshold)
-}
-
-// HeavyHitters returns this tenant's items above phi (in [0,1]) of the
-// tenant's stream weight. Idempotent: retried under WithRetry.
-func (t *TenantClient[T]) HeavyHitters(phi float64) ([]freq.Row[T], error) {
-	return t.c.doMulti("TENANT HH", "TENANT %s HH %d", t.id, int(phi*1000))
-}
-
-// Stats returns this tenant's stream weight and error band. Idempotent:
-// retried under WithRetry.
-func (t *TenantClient[T]) Stats() (n, maxErr int64, err error) {
-	err = t.c.do("TENANT STATS", true, func() error {
-		resp, rerr := t.c.roundTrip("TENANT %s STATS", t.id)
-		if rerr != nil {
-			return rerr
-		}
-		var shards int
-		if _, serr := fmt.Sscanf(resp, "STATS n=%d err=%d shards=%d", &n, &maxErr, &shards); serr != nil {
-			return fmt.Errorf("server: bad stats %q", resp)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return n, maxErr, nil
-}
-
-// Snapshot fetches this tenant's serialized summary and decodes it —
-// the standard single-sketch wire format, so it merges with global and
-// other-tenant snapshots alike. Idempotent: retried under WithRetry.
-func (t *TenantClient[T]) Snapshot() (*freq.Sketch[T], error) {
-	return t.c.doSnapshot("TENANT SNAP", "TENANT %s SNAP", t.id)
-}
-
-// QueryWindow returns (estimate, lowerBound, upperBound) for item over
-// the last w intervals of this tenant's sliding window. Idempotent:
-// retried under WithRetry.
-func (t *TenantClient[T]) QueryWindow(w int, item T) (est, lb, ub int64, err error) {
-	err = t.c.do("TENANT WIN EST", true, func() error {
-		resp, rerr := t.c.roundTrip("TENANT %s WIN %d EST %d", t.id, w, int64(item))
-		if rerr != nil {
-			return rerr
-		}
-		if _, serr := fmt.Sscanf(resp, "EST %d %d %d", &est, &lb, &ub); serr != nil {
-			return fmt.Errorf("server: bad response %q", resp)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return est, lb, ub, nil
-}
-
-// TopKWindow returns the n largest items over the last w intervals of
-// this tenant's sliding window. Idempotent: retried under WithRetry.
-func (t *TenantClient[T]) TopKWindow(w, n int) ([]freq.Row[T], error) {
-	return t.c.doMulti("TENANT WIN TOPK", "TENANT %s WIN %d TOPK %d", t.id, w, n)
-}
-
-// SnapshotWindow fetches the serialized merged view of the last w
-// intervals of this tenant's sliding window. Idempotent: retried under
-// WithRetry.
-func (t *TenantClient[T]) SnapshotWindow(w int) (*freq.Sketch[T], error) {
-	return t.c.doSnapshot("TENANT WIN SNAP", "TENANT %s WIN %d SNAP", t.id, w)
-}
-
-// QueryRange returns (estimate, lowerBound, upperBound) for item over
-// this tenant's stored history covering [from, to) — which includes
-// history persisted by idle eviction, so an evicted-and-recreated
-// tenant's past remains queryable. Idempotent: retried under WithRetry.
-func (t *TenantClient[T]) QueryRange(from, to time.Time, item T) (est, lb, ub int64, err error) {
-	err = t.c.do("TENANT RANGE EST", true, func() error {
-		resp, rerr := t.c.roundTrip("TENANT %s RANGE %d %d EST %d", t.id, from.Unix(), to.Unix(), int64(item))
-		if rerr != nil {
-			return rerr
-		}
-		if _, serr := fmt.Sscanf(resp, "EST %d %d %d", &est, &lb, &ub); serr != nil {
-			return fmt.Errorf("server: bad response %q", resp)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return est, lb, ub, nil
-}
-
-// TopKRange returns the n largest items over this tenant's stored
-// history covering [from, to). Idempotent: retried under WithRetry.
-func (t *TenantClient[T]) TopKRange(from, to time.Time, n int) ([]freq.Row[T], error) {
-	return t.c.doMulti("TENANT RANGE TOPK", "TENANT %s RANGE %d %d TOPK %d", t.id, from.Unix(), to.Unix(), n)
-}
-
-// SnapshotRange fetches the serialized merged summary of this tenant's
-// stored history covering [from, to). Idempotent: retried under
-// WithRetry.
-func (t *TenantClient[T]) SnapshotRange(from, to time.Time) (*freq.Sketch[T], error) {
-	return t.c.doSnapshot("TENANT RANGE SNAP", "TENANT %s RANGE %d %d SNAP", t.id, from.Unix(), to.Unix())
-}
-
-// Rotate advances this tenant's sliding window one interval and returns
-// the tenant's rotation count. Not idempotent: never auto-retried.
-func (t *TenantClient[T]) Rotate() (rotations int64, err error) {
-	err = t.c.do("TENANT ROTATE", false, func() error {
-		resp, rerr := t.c.roundTrip("TENANT %s ROTATE", t.id)
-		if rerr != nil {
-			return rerr
-		}
-		if _, serr := fmt.Sscanf(resp, "OK %d", &rotations); serr != nil {
-			return fmt.Errorf("server: unexpected response %q", resp)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return rotations, nil
-}
-
-// Reset clears this tenant's live summary (stored history is
-// untouched). Not auto-retried.
-func (t *TenantClient[T]) Reset() error {
-	return t.c.do("TENANT RESET", false, func() error {
-		resp, err := t.c.roundTrip("TENANT %s RESET", t.id)
-		if err != nil {
-			return err
-		}
-		if resp != "OK" {
-			return fmt.Errorf("server: unexpected response %q", resp)
-		}
-		return nil
-	})
-}
-
 // Evict asks the server to evict this tenant now: its live summary is
 // persisted to the tenant store (when one is configured) and its slot
 // returns to the warm pool. The handle stays valid — the next command
-// recreates the tenant fresh. Not auto-retried.
+// recreates the tenant fresh. A failed persist is an error and leaves
+// the tenant live. Not auto-retried.
 func (t *TenantClient[T]) Evict() error {
-	return t.c.do("TENANT EVICT", false, func() error {
-		resp, err := t.c.roundTrip("TENANT %s EVICT", t.id)
-		if err != nil {
-			return err
-		}
-		if resp != "OK" {
-			return fmt.Errorf("server: unexpected response %q", resp)
-		}
-		return nil
-	})
-}
-
-// ServerStats is the fully parsed STATS reply. Fields absent from the
-// reply (an older server, or one running without a window, store, or
-// tenant manager) are zero.
-type ServerStats struct {
-	// N is the global summary's stream weight; MaxErr its error band.
-	N, MaxErr int64
-	// Shards is the global summary's shard count.
-	Shards int
-	// WindowSlots is the sliding window's interval count (0 without a
-	// window).
-	WindowSlots int
-	// StorePartitions is the durable store's live partition count (0
-	// without a store).
-	StorePartitions int
-	// Tenants is the live tenant count and TenantsMax the registry
-	// capacity (both 0 without a tenant manager).
-	Tenants, TenantsMax int
-	// TenantEvictions counts tenants evicted (idle-TTL, capacity
-	// pressure, or explicit EVICT) since the server started.
-	TenantEvictions int64
-}
-
-// StatsFull returns the fully parsed STATS reply — stream weight and
-// error band like Stats, plus the window, store, and tenant occupancy
-// fields. Unknown key=value fields are ignored, so newer servers stay
-// parseable. Idempotent: retried under WithRetry.
-func (c *Client[T]) StatsFull() (ServerStats, error) {
-	var st ServerStats
-	err := c.do("STATS", true, func() error {
-		resp, rerr := c.roundTrip("STATS")
-		if rerr != nil {
-			return rerr
-		}
-		rest, ok := strings.CutPrefix(resp, "STATS ")
-		if !ok {
-			return fmt.Errorf("server: bad stats %q", resp)
-		}
-		for _, field := range strings.Fields(rest) {
-			key, val, ok := strings.Cut(field, "=")
-			if !ok {
-				return fmt.Errorf("server: bad stats field %q in %q", field, resp)
-			}
-			n, perr := strconv.ParseInt(val, 10, 64)
-			if perr != nil {
-				return fmt.Errorf("server: bad stats value %q in %q", field, resp)
-			}
-			switch key {
-			case "n":
-				st.N = n
-			case "err":
-				st.MaxErr = n
-			case "shards":
-				st.Shards = int(n)
-			case "slots":
-				st.WindowSlots = int(n)
-			case "partitions":
-				st.StorePartitions = int(n)
-			case "tenants":
-				st.Tenants = int(n)
-			case "tenants_max":
-				st.TenantsMax = int(n)
-			case "tenant_evictions":
-				st.TenantEvictions = n
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return ServerStats{}, err
-	}
-	return st, nil
+	return t.run("EVICT", false, expectOK, "EVICT")
 }

@@ -12,7 +12,9 @@
 // lately. Eviction is not loss when a SnapshotSink is installed: the
 // retiring tenant's summary is persisted first (freq/store's Tenants
 // registry files it under a tenant-scoped directory), so an evicted
-// tenant's history survives and RANGE-style queries can replay it.
+// tenant's history survives and RANGE-style queries can replay it. A
+// failed persist refuses the eviction: the tenant stays live with its
+// counts rather than being reset.
 //
 // Handles are reference counted: Acquire pins a tenant for the duration
 // of one command and Release unpins it, and only unreferenced tenants
@@ -329,7 +331,11 @@ func (m *Manager[T]) AcquireBytes(id []byte) (*Tenant[T], error) {
 //freq:locked(mu)
 func (m *Manager[T]) createLocked(id string) (*Tenant[T], error) {
 	if len(m.tenants) >= m.cfg.MaxTenants {
-		if !m.evictIdlestLocked() {
+		evicted, err := m.evictIdlestLocked()
+		if err != nil {
+			return nil, err
+		}
+		if !evicted {
 			return nil, fmt.Errorf("%w: %d live, all referenced", ErrLimit, len(m.tenants))
 		}
 	}
@@ -410,10 +416,11 @@ func deriveSeed(seed, i uint64) uint64 {
 
 // evictIdlestLocked retires the unreferenced tenant with the oldest
 // lastUsed (ties broken by creation order, so twin managers evict
-// identically). It reports whether a victim existed.
+// identically). It reports whether a victim existed, and the sink error
+// that kept it live.
 //
 //freq:locked(mu)
-func (m *Manager[T]) evictIdlestLocked() bool {
+func (m *Manager[T]) evictIdlestLocked() (bool, error) {
 	var victim *Tenant[T]
 	for _, t := range m.tenants {
 		if t.refs > 0 {
@@ -425,27 +432,23 @@ func (m *Manager[T]) evictIdlestLocked() bool {
 		}
 	}
 	if victim == nil {
-		return false
+		return false, nil
 	}
-	m.evictLocked(victim, m.now())
-	return true
+	return true, m.evictLocked(victim, m.now())
 }
 
 // evictLocked retires one unreferenced tenant: persist through the sink
 // (when installed and non-empty), reset both summaries in place, and
 // return the warm table set to the pool. The reset is what makes churn
-// alloc-free: the next creation pops fully-built, cleared tables.
+// alloc-free: the next creation pops fully-built, cleared tables. A
+// failed persist leaves the tenant live and untouched — its counts are
+// never dropped — and returns the error (also recorded for SinkErr).
 //
 //freq:locked(mu)
-func (m *Manager[T]) evictLocked(t *Tenant[T], end time.Time) {
-	if m.sink != nil {
-		if v, err := t.sk.View(); err != nil {
-			m.sinkErr = err
-		} else if v.StreamWeight() > 0 {
-			if err := m.sink.AppendTenant(t.id, v, t.start, end); err != nil {
-				m.sinkErr = err
-			}
-		}
+func (m *Manager[T]) evictLocked(t *Tenant[T], end time.Time) error {
+	if err := m.persistLocked(t, end); err != nil {
+		m.sinkErr = err
+		return fmt.Errorf("tenant: evict %q: %w", t.id, err)
 	}
 	delete(m.tenants, t.id)
 	t.id = ""
@@ -457,11 +460,28 @@ func (m *Manager[T]) evictLocked(t *Tenant[T], end time.Time) {
 	if len(m.pool) < m.cfg.PoolSize {
 		m.pool = append(m.pool, t)
 	}
+	return nil
+}
+
+// persistLocked hands t's merged summary to the sink, if one is
+// installed and the summary is non-empty.
+//
+//freq:locked(mu)
+func (m *Manager[T]) persistLocked(t *Tenant[T], end time.Time) error {
+	if m.sink == nil {
+		return nil
+	}
+	v, err := t.sk.View()
+	if err != nil || v.StreamWeight() == 0 {
+		return err
+	}
+	return m.sink.AppendTenant(t.id, v, t.start, end)
 }
 
 // Evict explicitly retires id right now: persisted through the sink,
 // tables recycled. ErrUnknown when id is not live, ErrBusy when handles
-// are outstanding (the caller of an EVICT command must not hold one).
+// are outstanding (the caller of an EVICT command must not hold one),
+// and the sink's error when the persist fails (the tenant stays live).
 func (m *Manager[T]) Evict(id string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -472,13 +492,13 @@ func (m *Manager[T]) Evict(id string) error {
 	if t.refs > 0 {
 		return fmt.Errorf("%w: %q has %d live handles", ErrBusy, id, t.refs)
 	}
-	m.evictLocked(t, m.now())
-	return nil
+	return m.evictLocked(t, m.now())
 }
 
 // EvictIdle retires every unreferenced tenant untouched for at least
 // Config.IdleTTL, in creation order, and returns how many were
-// retired. A no-op (returning 0) when IdleTTL is zero.
+// retired. A tenant whose persist fails stays live for the next sweep
+// to retry. A no-op (returning 0) when IdleTTL is zero.
 func (m *Manager[T]) EvictIdle() int {
 	if m.cfg.IdleTTL <= 0 {
 		return 0
@@ -496,10 +516,13 @@ func (m *Manager[T]) EvictIdle() int {
 	// Deterministic order: eviction order decides pool reuse order,
 	// which twin managers must share.
 	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
+	evicted := 0
 	for _, t := range victims {
-		m.evictLocked(t, now)
+		if m.evictLocked(t, now) == nil {
+			evicted++
+		}
 	}
-	return len(victims)
+	return evicted
 }
 
 // StartEvicting runs EvictIdle on a ticker every interval and returns
@@ -574,14 +597,7 @@ func (m *Manager[T]) Drain(end time.Time) error {
 	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
 	var firstErr error
 	for _, t := range live {
-		v, err := t.sk.View()
-		if err == nil && v.StreamWeight() == 0 {
-			continue
-		}
-		if err == nil {
-			err = m.sink.AppendTenant(t.id, v, t.start, end)
-		}
-		if err != nil && firstErr == nil {
+		if err := m.persistLocked(t, end); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -589,8 +605,8 @@ func (m *Manager[T]) Drain(end time.Time) error {
 }
 
 // SinkErr returns the most recent eviction-path sink failure, or nil.
-// Evictions never block on a failing sink; the error is recorded here
-// for the operator, mirroring Windowed.SinkErr.
+// The failed eviction itself is refused (see Evict); the error is also
+// recorded here for the operator, mirroring Windowed.SinkErr.
 func (m *Manager[T]) SinkErr() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -299,24 +299,61 @@ func TestDrainPersistsLiveTenants(t *testing.T) {
 	}
 }
 
-func TestSinkErrRecordedNotFatal(t *testing.T) {
-	sink := &captureSink{fail: errors.New("disk full")}
-	m, err := New[int64](Config{MaxCounters: 128, MaxTenants: 4})
+// TestSinkFailureKeepsTenant: a failed persist must not drop counts.
+// Explicit, capacity and idle eviction all leave the tenant live and
+// unreset while the sink fails, and the next idle sweep after it
+// recovers persists the full weight.
+func TestSinkFailureKeepsTenant(t *testing.T) {
+	diskFull := errors.New("disk full")
+	sink := &captureSink{fail: diskFull}
+	m, err := New[int64](Config{MaxCounters: 128, MaxTenants: 1, IdleTTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.SetSink(sink)
-	ten, _ := m.Acquire("a")
-	_ = ten.Update(1, 1)
-	ten.Release()
-	if err := m.Evict("a"); err != nil {
-		t.Fatalf("Evict must not fail on sink error, got %v", err)
+	clock := time.Unix(1_700_000_000, 0)
+	m.setClock(func() time.Time { return clock })
+	ten, err := m.Acquire("a")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := m.SinkErr(); err == nil || err.Error() != "disk full" {
+	_ = ten.Update(1, 5)
+	ten.Release()
+
+	if err := m.Evict("a"); !errors.Is(err, diskFull) {
+		t.Fatalf("Evict with failing sink = %v, want disk full", err)
+	}
+	if err := m.SinkErr(); !errors.Is(err, diskFull) {
 		t.Fatalf("SinkErr = %v, want disk full", err)
 	}
-	if m.Len() != 0 {
-		t.Fatal("tenant not evicted despite failing sink")
+	if _, err := m.Acquire("b"); !errors.Is(err, diskFull) {
+		t.Fatalf("Acquire at capacity with failing sink = %v, want disk full", err)
+	}
+	clock = clock.Add(2 * time.Minute)
+	if n := m.EvictIdle(); n != 0 {
+		t.Fatalf("EvictIdle with failing sink = %d, want 0", n)
+	}
+	if m.Len() != 1 || m.Stats().Evictions != 0 {
+		t.Fatalf("Len = %d, Evictions = %d after failed evictions; want 1, 0", m.Len(), m.Stats().Evictions)
+	}
+	ten, err = m.Acquire("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ten.Sketch().Estimate(1); got != 5 {
+		t.Fatalf("tenant a Estimate(1) = %d after failed evictions, want 5", got)
+	}
+	ten.Release()
+
+	sink.mu.Lock()
+	sink.fail = nil
+	sink.mu.Unlock()
+	clock = clock.Add(2 * time.Minute)
+	if n := m.EvictIdle(); n != 1 {
+		t.Fatalf("EvictIdle after sink recovery = %d, want 1", n)
+	}
+	if got := sink.total("a"); got != 5 {
+		t.Fatalf("sink captured %d for a, want 5", got)
 	}
 }
 

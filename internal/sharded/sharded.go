@@ -305,6 +305,17 @@ func (sk *Sketch) Estimate(item int64) int64 {
 	return v
 }
 
+// EstimateBounds returns item's point estimate and certain bounds read
+// under one shard lock hold, so the triple describes one shard state and
+// lb <= est <= ub holds even while writers flush into the shard.
+func (sk *Sketch) EstimateBounds(item int64) (est, lb, ub int64) {
+	sh := sk.shardFor(item)
+	sh.mu.Lock()
+	est, lb, ub = sh.s.Estimate(item), sh.s.LowerBound(item), sh.s.UpperBound(item)
+	sh.mu.Unlock()
+	return est, lb, ub
+}
+
 // LowerBound returns a certain lower bound on item's frequency.
 func (sk *Sketch) LowerBound(item int64) int64 {
 	sh := sk.shardFor(item)
